@@ -495,70 +495,6 @@ class AuditPass {
           "DAG records budget fallbacks but GsStats never observed "
           "budget exhaustion");
     }
-    CheckSchedulerStats(stats);
-  }
-
-  // The work-stealing scheduler's counters obey a closed algebra: the
-  // scalar totals must equal their per-level breakdowns, and no level can
-  // report more redistributed or solved work than it has subsets. These
-  // are schedule-dependent numbers the estimate-side checks cannot see,
-  // so inconsistencies here point at broken scheduler accounting (lost
-  // decrements, double-counted batches), not at a wrong estimate.
-  void CheckSchedulerStats(const GsStats& stats) {
-    char buf[160];
-    uint64_t level_steals = 0;
-    uint64_t level_stolen = 0;
-    uint64_t widest = 0;
-    for (const GsLevelStats& ls : stats.level_stats) {
-      level_steals += ls.steals;
-      level_stolen += ls.stolen_subsets;
-      widest = std::max(widest, ls.width);
-      if (ls.stolen_subsets < ls.steals) {
-        std::snprintf(buf, sizeof(buf),
-                      "level %d records %llu steals but only %llu stolen "
-                      "subsets (every steal moves at least one)",
-                      ls.level,
-                      static_cast<unsigned long long>(ls.steals),
-                      static_cast<unsigned long long>(ls.stolen_subsets));
-        Add(AuditCheck::kStatsReconciliation, 0, buf);
-      }
-      if (ls.max_solved_by_one_worker > ls.width) {
-        std::snprintf(buf, sizeof(buf),
-                      "level %d is %llu wide but one worker claims %llu "
-                      "solves",
-                      ls.level, static_cast<unsigned long long>(ls.width),
-                      static_cast<unsigned long long>(
-                          ls.max_solved_by_one_worker));
-        Add(AuditCheck::kStatsReconciliation, 0, buf);
-      }
-    }
-    if (level_steals != stats.steals ||
-        level_stolen != stats.stolen_subsets) {
-      std::snprintf(buf, sizeof(buf),
-                    "per-level steal counters (%llu steals, %llu stolen) "
-                    "disagree with the totals (%llu, %llu)",
-                    static_cast<unsigned long long>(level_steals),
-                    static_cast<unsigned long long>(level_stolen),
-                    static_cast<unsigned long long>(stats.steals),
-                    static_cast<unsigned long long>(stats.stolen_subsets));
-      Add(AuditCheck::kStatsReconciliation, 0, buf);
-    }
-    if (stats.parallel_levels != stats.level_stats.size()) {
-      std::snprintf(buf, sizeof(buf),
-                    "GsStats records %llu parallel levels but %zu "
-                    "per-level entries",
-                    static_cast<unsigned long long>(stats.parallel_levels),
-                    stats.level_stats.size());
-      Add(AuditCheck::kStatsReconciliation, 0, buf);
-    }
-    if (widest != stats.max_level_width) {
-      std::snprintf(buf, sizeof(buf),
-                    "widest per-level entry is %llu but GsStats records "
-                    "max_level_width %llu",
-                    static_cast<unsigned long long>(widest),
-                    static_cast<unsigned long long>(stats.max_level_width));
-      Add(AuditCheck::kStatsReconciliation, 0, buf);
-    }
   }
 
   const Query& query_;

@@ -32,11 +32,7 @@
 //                          selectivities anywhere in the DAG
 //   dangling-reference     every referenced child subset has a node
 //   stats-reconciliation   GsStats degradation counters match the DAG's
-//                          recorded fallback nodes, and the work-stealing
-//                          scheduler's counters obey their algebra (scalar
-//                          steal totals equal the per-level breakdown, no
-//                          level reports more redistributed or solved work
-//                          than its width) — only when stats given
+//                          recorded fallback nodes — only when stats given
 //   provenance             every statistic application and fallback atom
 //                          names the provider decision behind it (recorded
 //                          FactorProvenance with source + histogram kind,

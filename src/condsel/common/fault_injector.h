@@ -27,9 +27,8 @@
 //    enforcement inside the decomposition enumeration must keep the
 //    overshoot bounded by one lookup, not one subproblem. Tests can
 //    restrict the stall to factors intersecting a predicate mask
-//    (SetSlowLookupMask), making some subset-lattice levels orders of
-//    magnitude more expensive than others — the work-stealing scheduler's
-//    imbalance scenario.
+//    (SetSlowLookupMask), making a chosen slice of the subset lattice
+//    orders of magnitude more expensive than the rest.
 //  - kThrowAtomicLookup: the provider's public scoring entry point throws
 //    (simulating an embedder hook or allocation failure escaping
 //    mid-search) — RAII cleanup such as ScopedDeadline must leave shared

@@ -78,7 +78,7 @@ void NoteAcquire(const void* addr, int rank, const char* name) {
     const HeldLock& top = held.entries[held.size - 1];
     // Lexicographic (rank, address): equal ranks are legal only for
     // distinct instances in ascending address order (multi-instance
-    // families such as the worker deques).
+    // families).
     const bool ordered =
         rank > top.rank || (rank == top.rank && addr > top.addr);
     if (!ordered) {

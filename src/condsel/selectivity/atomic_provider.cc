@@ -110,8 +110,7 @@ FactorProvenance MakeProvenance(const Sit& sit, const char* kind,
 // The cold-statistics-storage fault: one bounded stall per provider
 // lookup, so deadline tests can measure enforcement granularity. The
 // stall is scoped to factors intersecting the injector's predicate mask,
-// letting tests make a chosen slice of the lattice pathologically slow
-// (the work-stealing scheduler's imbalance scenario).
+// letting tests make a chosen slice of the lattice pathologically slow.
 void MaybeInjectSlowLookup(PredSet p) {
   const FaultInjector& fi = FaultInjector::Instance();
   if (fi.armed() && fi.enabled(Fault::kSlowAtomicLookup) &&

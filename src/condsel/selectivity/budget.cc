@@ -1,8 +1,5 @@
 #include "condsel/selectivity/budget.h"
 
-#include <algorithm>
-#include <cstddef>
-
 #include "condsel/common/fault_injector.h"
 
 namespace condsel {
@@ -46,10 +43,6 @@ void BudgetCounters::Add(GsStats* out) const {
   out->budget_exhausted = budget_exhausted.load(std::memory_order_relaxed);
   out->analysis_seconds = analysis_seconds.load(std::memory_order_relaxed);
   out->histogram_seconds = histogram_seconds.load(std::memory_order_relaxed);
-  out->steals = steals.load(std::memory_order_relaxed);
-  out->stolen_subsets = stolen_subsets.load(std::memory_order_relaxed);
-  out->parallel_levels = parallel_levels.load(std::memory_order_relaxed);
-  out->max_level_width = max_level_width.load(std::memory_order_relaxed);
 }
 
 bool BudgetExhausted(const EstimationBudget* budget,
@@ -80,54 +73,6 @@ void AddGsStats(const GsStats& delta, GsStats* total) {
   total->default_fallbacks += delta.default_fallbacks;
   total->shape_cache_hits += delta.shape_cache_hits;
   total->shape_cache_misses += delta.shape_cache_misses;
-  total->steals += delta.steals;
-  total->stolen_subsets += delta.stolen_subsets;
-  total->parallel_levels += delta.parallel_levels;
-  total->max_level_width =
-      std::max(total->max_level_width, delta.max_level_width);
-  total->level_stats.insert(total->level_stats.end(),
-                            delta.level_stats.begin(),
-                            delta.level_stats.end());
-}
-
-namespace {
-uint64_t SatSub(uint64_t a, uint64_t b) { return a >= b ? a - b : 0; }
-}  // namespace
-
-GsStats DiffGsStats(const GsStats& cumulative, const GsStats& prev) {
-  GsStats d;
-  d.subproblems = SatSub(cumulative.subproblems, prev.subproblems);
-  d.memo_hits = SatSub(cumulative.memo_hits, prev.memo_hits);
-  d.atomic_considered =
-      SatSub(cumulative.atomic_considered, prev.atomic_considered);
-  d.analysis_seconds =
-      std::max(0.0, cumulative.analysis_seconds - prev.analysis_seconds);
-  d.histogram_seconds =
-      std::max(0.0, cumulative.histogram_seconds - prev.histogram_seconds);
-  // A session that was ever exhausted stays flagged; the delta carries the
-  // flag only on the settle that first observes it.
-  d.budget_exhausted = cumulative.budget_exhausted && !prev.budget_exhausted;
-  d.degraded_subproblems =
-      SatSub(cumulative.degraded_subproblems, prev.degraded_subproblems);
-  d.default_fallbacks =
-      SatSub(cumulative.default_fallbacks, prev.default_fallbacks);
-  d.shape_cache_hits =
-      SatSub(cumulative.shape_cache_hits, prev.shape_cache_hits);
-  d.shape_cache_misses =
-      SatSub(cumulative.shape_cache_misses, prev.shape_cache_misses);
-  d.steals = SatSub(cumulative.steals, prev.steals);
-  d.stolen_subsets = SatSub(cumulative.stolen_subsets, prev.stolen_subsets);
-  d.parallel_levels = SatSub(cumulative.parallel_levels, prev.parallel_levels);
-  d.max_level_width = cumulative.max_level_width;
-  // level_stats only grows by whole appended batches; the delta is the
-  // suffix past what `prev` had already seen.
-  if (cumulative.level_stats.size() > prev.level_stats.size()) {
-    d.level_stats.assign(
-        cumulative.level_stats.begin() +
-            static_cast<std::ptrdiff_t>(prev.level_stats.size()),
-        cumulative.level_stats.end());
-  }
-  return d;
 }
 
 }  // namespace condsel

@@ -1,13 +1,6 @@
 #include "condsel/selectivity/get_selectivity.h"
 
-#include <algorithm>
 #include <chrono>
-#include <exception>
-#include <memory>
-#include <mutex>
-#include <thread>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "condsel/catalog/catalog.h"
@@ -46,7 +39,7 @@ CONDSEL_HOT SelEstimate GetSelectivity::Compute(PredSet p) {
   // down explicitly — Score's and AtomicFactorCandidates' deadline
   // arguments — never parked in the shared provider, so concurrent
   // estimators on one provider cannot clobber each other's deadline. RAII
-  // disarms on every exit path: an exception escaping a driver (an
+  // disarms on every exit path: an exception escaping the search (an
   // embedder hook, an injected fault) must not leave a stale clock armed
   // for the next call.
   const ScopedDeadline scoped(
@@ -55,34 +48,27 @@ CONDSEL_HOT SelEstimate GetSelectivity::Compute(PredSet p) {
   // delta refresh swapped the pool between Compute() calls, the cached
   // subsets describe the old statistics and are dropped here.
   memo_.BindGeneration(provider_->pool_generation());
-  // Rewind the scratch arena (its blocks are retained): everything the
-  // previous call carved out — candidate lists, the parallel plan's
-  // per-subset storage — is dead by contract, because no arena pointer
-  // escapes a Compute() call.
+  // Rewind the scratch arena (its blocks are retained): every candidate
+  // list the previous call carved out is dead by contract, because no
+  // arena pointer escapes a Compute() call.
   arena_.Reset();
-  const int threads = budget_ != nullptr ? budget_->threads : 1;
-  const MemoEntry& e =
-      threads > 1 ? ComputeParallel(p, threads) : ComputeEntry(p);
+  const MemoEntry& e = ComputeEntry(p);
   return SelEstimate{e.selectivity, e.error};
 }
 
 const GsStats& GetSelectivity::stats() const {
   counters_.Add(&stats_);
-  stats_.level_stats = level_stats_;
   return stats_;
 }
 
 CONDSEL_HOT const DerivationAtom& GetSelectivity::SinglePredicateFallback(
     int i) {
   if (const DerivationAtom* hit = memo_.FindAtom(i)) return *hit;
-  DerivationAtom atom = provider_->BaseAtom(*query_, i, /*describe=*/true);
-  bool inserted = false;
   const DerivationAtom& stored =
-      memo_.InsertAtom(i, std::move(atom), &inserted);
+      memo_.InsertAtom(i, provider_->BaseAtom(*query_, i, /*describe=*/true));
   // 1.0 never understates a cardinality, the safe direction for an
-  // optimizer that must still produce a plan. Counted once per predicate
-  // (the insert can lose a concurrent race in the parallel driver).
-  if (inserted && !stored.has_stat) {
+  // optimizer that must still produce a plan. Counted once per predicate.
+  if (!stored.has_stat) {
     counters_.default_fallbacks.fetch_add(1, std::memory_order_relaxed);
   }
   return stored;
@@ -178,10 +164,8 @@ void GetSelectivity::RecordEntry(PredSet p, const MemoEntry& entry) {
   }
 }
 
-template <typename ChildFn>
 CONDSEL_HOT MemoEntry GetSelectivity::SolveNonSeparable(
-    PredSet p, const ArenaVector<PredSet>& candidates, ChildFn&& child,
-    ScoreScratch* scratch) {
+    PredSet p, const ArenaVector<PredSet>& candidates) {
   // Lines 9-17: non-separable — try every atomic decomposition
   // Sel(P'|Q) * Sel(Q) whose factor some SIT could approximate
   // (decomposer.h explains the candidate order, which first-seen-wins
@@ -192,9 +176,8 @@ CONDSEL_HOT MemoEntry GetSelectivity::SolveNonSeparable(
   PredSet best_p_prime = 0;
   FactorChoice best_choice;
 
-  // Candidate-loop bookkeeping accumulates locally and flushes once:
-  // per-candidate fetch_add on the shared double counters is a CAS loop
-  // the parallel driver's workers would serialize on.
+  // Candidate-loop bookkeeping accumulates locally and flushes once: a
+  // fetch_add on an atomic double is a CAS loop.
   uint64_t considered = 0;
   double analysis_acc = 0.0;
 
@@ -207,12 +190,8 @@ CONDSEL_HOT MemoEntry GetSelectivity::SolveNonSeparable(
     }
     const PredSet q = p & ~p_prime;
     // Line 11: solve the tail before scoring so the merged error is
-    // available. The sequential driver recurses here; the parallel driver
-    // reads the previous levels' memo entries (nullptr — possible only
-    // when the budget truncated the plan — skips the candidate, another
-    // flavor of the same degradation).
-    const MemoEntry* qe = child(q);
-    if (qe == nullptr) continue;
+    // available.
+    const MemoEntry& qe = ComputeEntry(q);
     // The recursion may have spent the budget; re-check before charging
     // another decomposition so the cap stays tight at every level.
     if (BudgetExhausted(budget_, counters_, deadline_)) {
@@ -222,10 +201,10 @@ CONDSEL_HOT MemoEntry GetSelectivity::SolveNonSeparable(
     const auto t1 = Clock::now();
     ++considered;
     FactorChoice choice =
-        provider_->Score(*query_, p_prime, q, &deadline_, scratch);
+        provider_->Score(*query_, p_prime, q, &deadline_, &scratch_);
     analysis_acc += Seconds(t1, Clock::now());
     if (!choice.feasible) continue;
-    const double merged = ErrorFunction::Merge(choice.error, qe->error);
+    const double merged = ErrorFunction::Merge(choice.error, qe.error);
     if (merged < best_error) {
       best_error = merged;
       best_p_prime = p_prime;
@@ -255,14 +234,14 @@ CONDSEL_HOT MemoEntry GetSelectivity::SolveNonSeparable(
       provider_->Estimate(*query_, best_p_prime, best_choice));
   counters_.histogram_seconds.fetch_add(Seconds(t2, Clock::now()),
                                         std::memory_order_relaxed);
-  const MemoEntry* tail = child(p & ~best_p_prime);
-  CONDSEL_CHECK(tail != nullptr);  // it was solved when the winner scored
+  // A memo hit: the tail was solved when the winner scored.
+  const MemoEntry& tail = ComputeEntry(p & ~best_p_prime);
 
   entry.best_p_prime = best_p_prime;
   entry.choice = std::move(best_choice);
   entry.factor_selectivity = factor_sel;
   entry.error = best_error;
-  entry.selectivity = SanitizeSelectivity(factor_sel * tail->selectivity);
+  entry.selectivity = SanitizeSelectivity(factor_sel * tail.selectivity);
   return entry;
 }
 
@@ -325,408 +304,9 @@ CONDSEL_HOT const MemoEntry& GetSelectivity::ComputeEntry(PredSet p) {
   // Compute()'s Reset.
   ArenaVector<PredSet> candidates(&arena_);
   EnumerateCandidates(p, &candidates);
-  MemoEntry entry = SolveNonSeparable(
-      p, candidates,
-      [this](PredSet q) -> const MemoEntry* { return &ComputeEntry(q); },
-      &scratch_);
+  MemoEntry entry = SolveNonSeparable(p, candidates);
   RecordEntry(p, entry);
   return memo_.Insert(p, std::move(entry));
-}
-
-CONDSEL_HOT const MemoEntry& GetSelectivity::ComputeParallel(PredSet p,
-                                                             int threads) {
-  // Memo-served re-request: answered (and counted) exactly like the
-  // sequential driver's top-of-recursion hit, so GsStats agree across
-  // drivers on repeated Compute() calls.
-  if (const MemoEntry* hit = memo_.Find(p)) {
-    counters_.memo_hits.fetch_add(1, std::memory_order_relaxed);
-    return *hit;
-  }
-
-  // Pass 1 (sequential): discover the reachable sub-lattice and cache the
-  // per-subset analysis (standard decomposition / candidate enumeration),
-  // so workers only score and estimate. The closure pushed here — every
-  // separable component and every candidate tail Q = P∖P' — is exactly
-  // the set the sequential recursion visits, which is what makes the two
-  // drivers agree on budget-free runs.
-  struct PlanNode {
-    explicit PlanNode(Arena* arena) : candidates(arena) {}
-    bool separable = false;
-    bool degrade = false;  // the deadline expired while planning
-    ComponentList components;          // separable
-    ArenaVector<PredSet> candidates;   // non-separable, per-Compute arena
-  };
-  std::unordered_map<PredSet, PlanNode> plan;
-  std::vector<PredSet> planned;  // insertion order, deduplicated
-  std::vector<PredSet> stack{p};
-  const auto t0 = Clock::now();
-  while (!stack.empty()) {
-    const PredSet s = stack.back();
-    stack.pop_back();
-    if (plan.count(s) != 0 || memo_.Find(s) != nullptr) continue;
-    PlanNode node(&arena_);
-    if (s != 0) {
-      if (deadline_.Expired()) {
-        // Plan no further: this subset (and everything only reachable
-        // through it) degrades to the independence fallback.
-        node.degrade = true;
-      } else {
-        const ComponentList components =
-            StandardDecompositionFast(*query_, s);
-        if (components.size() > 1) {
-          node.separable = true;
-          node.components = components;
-          for (PredSet comp : components) stack.push_back(comp);
-        } else {
-          EnumerateCandidates(s, &node.candidates);
-          for (PredSet p_prime : node.candidates) {
-            stack.push_back(s & ~p_prime);
-          }
-        }
-      }
-    }
-    plan.emplace(s, std::move(node));
-    planned.push_back(s);
-  }
-  counters_.analysis_seconds.fetch_add(Seconds(t0, Clock::now()),
-                                       std::memory_order_relaxed);
-
-  // Pass 2: solve one size-level at a time — every entry depends only on
-  // strict subsets, so all subsets of equal size form an antichain that
-  // can run concurrently. Within a level the deterministic (size, value)
-  // order fixes which worker gets which subset; results are order-free
-  // anyway because entries never read their own level.
-  std::sort(planned.begin(), planned.end(), [](PredSet a, PredSet b) {
-    const int sa = SetSize(a), sb = SetSize(b);
-    return sa != sb ? sa < sb : a < b;
-  });
-
-  // Memo-hit parity with the sequential driver: there, each *reference*
-  // to a subset either recurses (first time, counted in subproblems) or
-  // hits the memo. Here every reference finds a solved entry — level
-  // order guarantees it — so counting finds directly would overcount by
-  // the first reference of every newly computed subset. Count references
-  // locally and settle the difference after the solve phase:
-  //   hits = references + 1 (the top-level request) − newly computed.
-  std::atomic<uint64_t> references{0};
-  auto child = [this, &references](PredSet q) -> const MemoEntry* {
-    const MemoEntry* e = memo_.Find(q);
-    if (e != nullptr) {
-      references.fetch_add(1, std::memory_order_relaxed);
-    }
-    return e;
-  };
-
-  auto solve = [&](PredSet s, const PlanNode& node, ScoreScratch* scratch) {
-    MemoEntry entry;
-    if (s == 0) {
-      entry.kind = MemoEntryKind::kEmpty;
-    } else if (node.degrade ||
-               BudgetExhausted(budget_, counters_, deadline_)) {
-      counters_.budget_exhausted.store(true, std::memory_order_relaxed);
-      entry = DegradedEntry(s, FallbackReason::kBudgetExhausted);
-    } else {
-      counters_.subproblems.fetch_add(1, std::memory_order_relaxed);
-      if (node.separable) {
-        entry.kind = MemoEntryKind::kSeparable;
-        entry.components = node.components;
-        double sel = 1.0;
-        double err = 0.0;
-        // Bounded by the plan width (<= 32 components); a missing child
-        // only happens on a deadline-truncated plan, and the per-component
-        // fallback below IS the degradation path -- it must run to
-        // completion after expiry so the caller still gets an estimate.
-        // condsel-flow: allow(deadline-flow)
-        for (PredSet comp : node.components) {
-          const MemoEntry* ce = child(comp);
-          if (ce == nullptr) {
-            // Only reachable when the plan was truncated by the deadline;
-            // the component contributes its independence fallback.
-            const MemoEntry degraded =
-                DegradedEntry(comp, FallbackReason::kBudgetExhausted);
-            const MemoEntry& stored = memo_.Insert(comp, degraded);
-            sel *= stored.selectivity;
-            err = ErrorFunction::Merge(err, stored.error);
-            continue;
-          }
-          sel *= ce->selectivity;
-          err = ErrorFunction::Merge(err, ce->error);
-        }
-        entry.selectivity = SanitizeSelectivity(sel);
-        entry.error = err;
-      } else {
-        entry = SolveNonSeparable(s, node.candidates, child, scratch);
-      }
-    }
-    memo_.Insert(s, std::move(entry));
-  };
-
-  // Level boundaries: [begin, end) runs of equal subset size.
-  std::vector<std::pair<size_t, size_t>> levels;
-  size_t max_width = 0;
-  for (size_t begin = 0; begin < planned.size();) {
-    size_t end = begin + 1;
-    const int size = SetSize(planned[begin]);
-    while (end < planned.size() && SetSize(planned[end]) == size) ++end;
-    levels.emplace_back(begin, end);
-    max_width = std::max(max_width, end - begin);
-    begin = end;
-  }
-
-  const size_t workers =
-      std::min<size_t>(static_cast<size_t>(threads), max_width);
-  // Small plans (narrow sub-plans, mostly-memoized lattices) are not worth
-  // a pool: thread startup would dwarf the scoring work.
-  constexpr size_t kMinParallelNodes = 24;
-  if (workers <= 1 || planned.size() < kMinParallelNodes) {
-    for (PredSet s : planned) solve(s, plan.at(s), &scratch_);
-  } else {
-    // In-level work stealing. Each worker owns a deque of item indices;
-    // it publishes its deterministic slice of a level, drains its own
-    // deque from the back, and when empty steals half the richest
-    // victim's deque from the front. The per-level barrier is replaced by
-    // one atomic completion counter per level (`remaining`): a worker may
-    // publish its level-l slice only after remaining[l-1] reaches zero,
-    // and while it waits at that gate it keeps stealing, so a level whose
-    // per-subset costs are wildly unbalanced (one slow statistics lookup,
-    // one worker's slice full of wide candidate lists) is finished by
-    // whoever is idle instead of stalling the whole pool.
-    //
-    // Safety invariant: an item is visible in *any* deque only after its
-    // owner passed the gate for the item's level, i.e. after every
-    // strictly smaller subset was solved and published (the memo insert
-    // happens before the release-decrement of `remaining`, and the gate
-    // acquires it). A thief may therefore solve whatever it steals
-    // immediately — including items a level ahead of its own position —
-    // without ever observing an unsolved child. Deques can hold items of
-    // mixed levels, so all bookkeeping is keyed by the item's own level
-    // (`level_of`), never by the worker's loop position.
-    //
-    // Determinism: each item is popped and solved exactly once, scoring
-    // is a pure function of the planned candidate lists, and the memo is
-    // first-wins — so *which* worker solves an item cannot change any
-    // estimate, only the steal counters (reported as schedule-dependent).
-    const size_t num_levels = levels.size();
-    std::vector<size_t> level_of(planned.size());
-    auto remaining = std::make_unique<std::atomic<size_t>[]>(num_levels);
-    for (size_t l = 0; l < num_levels; ++l) {
-      remaining[l].store(levels[l].second - levels[l].first,
-                         std::memory_order_relaxed);
-      for (size_t i = levels[l].first; i < levels[l].second; ++i) {
-        level_of[i] = l;
-      }
-    }
-
-    struct WorkerDeque {
-      // One rank for the whole family; the thief's pair acquisition below
-      // disambiguates same-rank instances by address (== index) order.
-      OrderedMutex mu{lock_rank::kWorkerDeque, "WorkerDeque::mu"};
-      std::vector<size_t> items CONDSEL_GUARDED_BY(mu);  // into `planned`
-      std::atomic<size_t> approx{0};  // lock-free size hint for thieves
-    };
-    auto deques = std::make_unique<WorkerDeque[]>(workers);
-
-    // Worker-local scheduler accounting, aggregated after the join (no
-    // contended atomics on the solve path).
-    struct WorkerLocal {
-      std::vector<uint64_t> solved;  // per level
-      std::vector<uint64_t> steals;  // per level of the batch's first item
-      std::vector<uint64_t> stolen;  // per level of each stolen item
-      ScoreScratch scratch;          // this worker's candidate-list scratch
-    };
-    std::vector<WorkerLocal> local(workers);
-    for (WorkerLocal& wl : local) {
-      wl.solved.assign(num_levels, 0);
-      wl.steals.assign(num_levels, 0);
-      wl.stolen.assign(num_levels, 0);
-    }
-
-    // First escaping exception wins; the abort flag releases gate-waiting
-    // workers whose level counters will never reach zero.
-    std::atomic<bool> abort{false};
-    std::exception_ptr first_error;
-    OrderedMutex error_mu{lock_rank::kParallelError,
-                          "parallel_driver::error_mu"};
-
-    auto solve_item = [&](size_t idx, size_t w) {
-      const PredSet s = planned[idx];
-      solve(s, plan.at(s), &local[w].scratch);
-      ++local[w].solved[level_of[idx]];
-      // Release pairs with the gate's acquire: a worker that observes the
-      // level complete also observes every entry the level inserted.
-      remaining[level_of[idx]].fetch_sub(1, std::memory_order_release);
-    };
-
-    auto pop_own = [&](size_t w, size_t* idx) {
-      WorkerDeque& d = deques[w];
-      const std::lock_guard<OrderedMutex> lock(d.mu);
-      if (d.items.empty()) return false;
-      *idx = d.items.back();
-      d.items.pop_back();
-      d.approx.store(d.items.size(), std::memory_order_relaxed);
-      return true;
-    };
-
-    // Steals up to half of the richest victim's deque (at least one item)
-    // from the front — the opposite end from the owner's pops — into the
-    // thief's own (empty) deque.
-    auto steal_batch = [&](size_t w) {
-      size_t victim = w;
-      size_t best = 0;
-      for (size_t v = 0; v < workers; ++v) {
-        if (v == w) continue;
-        const size_t n = deques[v].approx.load(std::memory_order_relaxed);
-        if (n > best) {
-          best = n;
-          victim = v;
-        }
-      }
-      if (best == 0) return false;
-      // Both deques locked together so a concurrent thief of *this* deque
-      // stays consistent. Same rank, so acquisition must follow address
-      // order (std::scoped_lock's retry rotation can lock in either
-      // order, which the rank checker rightly rejects).
-      WorkerDeque& lo = deques[victim < w ? victim : w];
-      WorkerDeque& hi = deques[victim < w ? w : victim];
-      const std::lock_guard<OrderedMutex> outer(lo.mu);
-      const std::lock_guard<OrderedMutex> inner(hi.mu);
-      std::vector<size_t>& from = deques[victim].items;
-      if (from.empty()) return false;  // raced another thief
-      const size_t take = std::max<size_t>(1, from.size() / 2);
-      std::vector<size_t>& into = deques[w].items;
-      // Preserve order so the thief's back-pop continues level order.
-      into.insert(into.end(), from.begin(),
-                  from.begin() + static_cast<ptrdiff_t>(take));
-      from.erase(from.begin(), from.begin() + static_cast<ptrdiff_t>(take));
-      deques[victim].approx.store(from.size(), std::memory_order_relaxed);
-      deques[w].approx.store(into.size(), std::memory_order_relaxed);
-      ++local[w].steals[level_of[into.front()]];
-      for (size_t i : into) ++local[w].stolen[level_of[i]];
-      return true;
-    };
-
-    // Pop one ready item — own deque first, then a steal — and solve it.
-    auto acquire_and_solve_one = [&](size_t w) {
-      size_t idx;
-      if (pop_own(w, &idx) || (steal_batch(w) && pop_own(w, &idx))) {
-        solve_item(idx, w);
-        return true;
-      }
-      return false;
-    };
-
-    {
-      std::vector<std::jthread> pool;
-      pool.reserve(workers);
-      for (size_t w = 0; w < workers; ++w) {
-        pool.emplace_back([&, w] {
-          try {
-            for (size_t l = 0; l < num_levels; ++l) {
-              // Gate: this level's items may be published only once the
-              // previous level is fully solved. Waiting workers keep
-              // stealing — that is where imbalance is absorbed.
-              while (l > 0 &&
-                     remaining[l - 1].load(std::memory_order_acquire) != 0) {
-                if (abort.load(std::memory_order_relaxed)) return;
-                if (!acquire_and_solve_one(w)) std::this_thread::yield();
-              }
-              {
-                WorkerDeque& d = deques[w];
-                const std::lock_guard<OrderedMutex> lock(d.mu);
-                for (size_t i = levels[l].first + w; i < levels[l].second;
-                     i += workers) {
-                  d.items.push_back(i);
-                }
-                d.approx.store(d.items.size(), std::memory_order_relaxed);
-              }
-              while (!abort.load(std::memory_order_relaxed) &&
-                     acquire_and_solve_one(w)) {
-              }
-              if (abort.load(std::memory_order_relaxed)) return;
-            }
-          } catch (...) {
-            {
-              const std::lock_guard<OrderedMutex> lock(error_mu);
-              if (first_error == nullptr) {
-                first_error = std::current_exception();
-              }
-            }
-            abort.store(true, std::memory_order_relaxed);
-          }
-        });
-      }
-    }  // jthreads join here: the lattice is fully solved (or aborted)
-
-    if (first_error != nullptr) {
-      // Rethrow on the driver thread; Compute's ScopedDeadline disarms on
-      // the unwind, and the memo keeps whatever was solved (first-wins
-      // inserts stay individually consistent).
-      std::rethrow_exception(first_error);
-    }
-
-    // Aggregate the scheduler's accounting. The per-level entries append
-    // across Compute() calls (one batch per parallel run), keeping the
-    // derivation auditor's algebra — Σ level.steals == steals, etc. —
-    // valid for cumulative stats.
-    uint64_t total_steals = 0;
-    uint64_t total_stolen = 0;
-    for (size_t l = 0; l < num_levels; ++l) {
-      GsLevelStats ls;
-      ls.level = SetSize(planned[levels[l].first]);
-      ls.width = levels[l].second - levels[l].first;
-      for (size_t w = 0; w < workers; ++w) {
-        ls.steals += local[w].steals[l];
-        ls.stolen_subsets += local[w].stolen[l];
-        ls.max_solved_by_one_worker =
-            std::max(ls.max_solved_by_one_worker, local[w].solved[l]);
-      }
-      total_steals += ls.steals;
-      total_stolen += ls.stolen_subsets;
-      level_stats_.push_back(ls);
-    }
-    counters_.steals.fetch_add(total_steals, std::memory_order_relaxed);
-    counters_.stolen_subsets.fetch_add(total_stolen,
-                                       std::memory_order_relaxed);
-    counters_.parallel_levels.fetch_add(num_levels,
-                                        std::memory_order_relaxed);
-    if (max_width >
-        counters_.max_level_width.load(std::memory_order_relaxed)) {
-      counters_.max_level_width.store(max_width, std::memory_order_relaxed);
-    }
-  }
-
-  // Settle the memo-hit parity (see `references` above). The guard only
-  // fires on budget-truncated runs, where degraded inserts outside the
-  // plan can exceed the reference count — parity is a budget-free
-  // contract.
-  const uint64_t refs = references.load(std::memory_order_relaxed);
-  if (refs + 1 > planned.size()) {
-    counters_.memo_hits.fetch_add(refs + 1 - planned.size(),
-                                  std::memory_order_relaxed);
-  }
-
-  // Pass 3: mirror the new entries into the recorder in the same
-  // deterministic order, off the worker threads (the DAG is not
-  // synchronized, and post-hoc recording keeps node order reproducible
-  // across thread counts).
-  if (recorder_ != nullptr) {
-    std::unordered_set<PredSet> seen;
-    // Post-solve bookkeeping over the already-computed memo: bounded by
-    // |planned| and does no histogram work, so it intentionally runs to
-    // completion even when the deadline has expired (a half-recorded DAG
-    // would fail the derivation audit).
-    // condsel-flow: allow(deadline-flow)
-    for (PredSet s : planned) {
-      if (!seen.insert(s).second) continue;
-      const MemoEntry* e = memo_.Find(s);
-      CONDSEL_CHECK(e != nullptr);
-      RecordEntry(s, *e);
-    }
-  }
-
-  const MemoEntry* root = memo_.Find(p);
-  CONDSEL_CHECK(root != nullptr);
-  return *root;
 }
 
 std::string GetSelectivity::Explain(PredSet p) const {

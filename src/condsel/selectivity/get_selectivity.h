@@ -17,22 +17,10 @@
 //     matches SITs and reads histograms, with provenance reporting;
 //   AtomicFactorCandidates (decomposer.h) — the deadline-aware candidate
 //     enumeration, a pure function of (query, subset);
-//   SelectivityMemo (selectivity_memo.h) — the thread-safe subset memo.
-// Two drivers share them: the sequential recursion, and a level-parallel
-// driver (EstimationBudget::threads > 1) that runs each antichain of the
-// subset lattice — all subsets of equal size, whose entries only depend
-// on strictly smaller subsets — over a std::jthread pool with in-level
-// work stealing (idle workers take half the richest peer's deque, and an
-// atomic completion counter per level replaces the old barrier, so an
-// unbalanced level is absorbed by whoever is idle instead of stalling
-// the pool). Scoring is a pure function of the candidate lists and every
-// subset is solved exactly once, so on budget-free runs the two drivers
-// produce bit-identical estimates at any thread count; with caps or
-// deadlines armed, which subsets degrade may differ by schedule (each
-// answer is still a valid graceful degradation). GsStats' deterministic
-// counters (subproblems, memo hits, decompositions, degradations) agree
-// between the drivers too; only timings and the steal counters are
-// schedule-dependent.
+//   SelectivityMemo (selectivity_memo.h) — the subset memo.
+// The driver is the paper's depth-first recursion. A GetSelectivity is
+// externally synchronized: one thread calls Compute() at a time.
+// Independent estimators may share one provider concurrently.
 //
 // The DP is exponential in the number of predicates, so a production
 // deployment caps it with an EstimationBudget. When the budget runs out —
@@ -51,7 +39,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "condsel/analysis/derivation.h"
 #include "condsel/common/arena.h"
@@ -105,24 +92,15 @@ class GetSelectivity {
   const GsStats& stats() const;
 
  private:
-  // Sequential driver: depth-first recursion (the paper's Figure 3).
+  // Depth-first recursion (the paper's Figure 3).
   const MemoEntry& ComputeEntry(PredSet p);
-  // Parallel driver: plans the reachable sub-lattice, then solves it one
-  // size-level at a time over `threads` workers with in-level work
-  // stealing (get_selectivity.cc documents the scheduler's invariants).
-  const MemoEntry& ComputeParallel(PredSet p, int threads);
 
   // Scores the atomic decompositions of non-separable `p` over
   // `candidates` (arena-backed, built by the caller's enumeration pass),
-  // estimates the winner, and returns the finished entry (possibly
-  // degraded). `child` maps a subset to its solved entry; the sequential
-  // driver recurses, the parallel driver reads the memo. `scratch` is the
-  // calling thread's candidate-list scratch (one per worker — never
-  // shared concurrently).
-  template <typename ChildFn>
+  // solving each candidate's tail through ComputeEntry, estimates the
+  // winner, and returns the finished entry (possibly degraded).
   MemoEntry SolveNonSeparable(PredSet p,
-                              const ArenaVector<PredSet>& candidates,
-                              ChildFn&& child, ScoreScratch* scratch);
+                              const ArenaVector<PredSet>& candidates);
 
   // Candidate enumeration for non-separable `p`, through the shape cache
   // when one is attached: a warm subset copies the skeleton's list, a
@@ -144,25 +122,19 @@ class GetSelectivity {
   ShapeCache::Entry* shape_;  // may be null: no shape cache attached
   DerivationDag* recorder_ = nullptr;
   SelectivityMemo memo_;
-  // Per-Compute() scratch arena for candidate lists and the parallel
-  // plan's per-subset storage. Reset (retaining its blocks) at the top of
-  // every Compute() call, so a warmed-up estimator enumerates without
-  // allocating. Lifetime rule: no pointer into the arena may escape the
+  // Per-Compute() scratch arena for candidate lists. Reset (retaining its
+  // blocks) at the top of every Compute() call, so a warmed-up estimator
+  // enumerates without allocating. Lifetime rule: no pointer into the arena may escape the
   // Compute() call that allocated it — memo entries store everything
   // inline (ComponentList, SitVec) for exactly this reason.
   Arena arena_;
-  // Candidate-list scratch for the sequential driver's Score calls (the
-  // parallel driver's workers each carry their own).
+  // Candidate-list scratch for Score calls.
   ScoreScratch scratch_;
   BudgetCounters counters_;
   // Deadline for the in-flight top-level Compute() call, armed via
   // ScopedDeadline and passed down explicitly per call (Score's deadline
   // argument) — never stored in the shared provider.
   Deadline deadline_;
-  // Per-level scheduler accounting, one batch appended per parallel run;
-  // driver-owned (only the thread calling Compute() writes it) and merged
-  // into the GsStats snapshot by stats().
-  std::vector<GsLevelStats> level_stats_;
   mutable GsStats stats_;  // snapshot of counters_, refreshed by stats()
 };
 

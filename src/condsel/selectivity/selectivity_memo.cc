@@ -1,14 +1,12 @@
 #include "condsel/selectivity/selectivity_memo.h"
 
 #include <algorithm>
-#include <shared_mutex>
 
 #include "condsel/common/macros.h"
 
 namespace condsel {
 
 CONDSEL_HOT const MemoEntry* SelectivityMemo::Find(PredSet p) const {
-  std::shared_lock<OrderedSharedMutex> lock(mu_);
   if (p < kDenseSlots) {
     return p < dense_.size() ? dense_[p] : nullptr;
   }
@@ -18,58 +16,43 @@ CONDSEL_HOT const MemoEntry* SelectivityMemo::Find(PredSet p) const {
 
 CONDSEL_HOT const MemoEntry& SelectivityMemo::Insert(PredSet p,
                                                      MemoEntry entry) {
-  std::unique_lock<OrderedSharedMutex> lock(mu_);
+  CONDSEL_DCHECK(Find(p) == nullptr);
+  entries_.push_back(std::move(entry));
+  const MemoEntry* stored = &entries_.back();
   if (p < kDenseSlots) {
     if (p >= dense_.size()) {
       // Geometric growth keyed to the largest subset seen: one resize
-      // covers the whole universe (the root subset arrives early in both
-      // drivers), and the storage is retained across generation rebinds.
+      // covers the whole universe (the root subset arrives early), and
+      // the storage is retained across generation rebinds.
       size_t cap = std::max<size_t>(dense_.size(), 64);
       while (cap <= p) cap *= 2;
       dense_.resize(cap, nullptr);
     }
-    if (dense_[p] != nullptr) return *dense_[p];
-    entries_.push_back(std::move(entry));
-    const MemoEntry* stored = &entries_.back();
     dense_[p] = stored;
-    return *stored;
+  } else {
+    overflow_.emplace(p, stored);
   }
-  auto it = overflow_.find(p);
-  if (it != overflow_.end()) return *it->second;
-  entries_.push_back(std::move(entry));
-  const MemoEntry* stored = &entries_.back();
-  overflow_.emplace(p, stored);
   return *stored;
 }
 
 CONDSEL_HOT const DerivationAtom* SelectivityMemo::FindAtom(
     int pred) const {
   CONDSEL_CHECK(pred >= 0 && pred < kMaxPredicates);
-  std::shared_lock<OrderedSharedMutex> lock(mu_);
   return atom_present_[pred] ? &atoms_[pred] : nullptr;
 }
 
 CONDSEL_HOT const DerivationAtom& SelectivityMemo::InsertAtom(
-    int pred, DerivationAtom atom, bool* inserted) {
+    int pred, DerivationAtom atom) {
   CONDSEL_CHECK(pred >= 0 && pred < kMaxPredicates);
-  std::unique_lock<OrderedSharedMutex> lock(mu_);
-  if (atom_present_[pred]) {
-    if (inserted != nullptr) *inserted = false;
-    return atoms_[pred];
-  }
-  if (inserted != nullptr) *inserted = true;
-  atoms_[pred] = atom;
+  CONDSEL_DCHECK(!atom_present_[pred]);
+  atoms_[pred] = std::move(atom);
   atom_present_[pred] = true;
   return atoms_[pred];
 }
 
-size_t SelectivityMemo::size() const {
-  std::shared_lock<OrderedSharedMutex> lock(mu_);
-  return entries_.size();
-}
+size_t SelectivityMemo::size() const { return entries_.size(); }
 
 void SelectivityMemo::BindGeneration(uint64_t gen) {
-  std::unique_lock<OrderedSharedMutex> lock(mu_);
   if (generation_bound_ && generation_ == gen) return;
   if (generation_bound_) {
     // Self-invalidation on a statistics refresh: an entry computed from
@@ -84,11 +67,6 @@ void SelectivityMemo::BindGeneration(uint64_t gen) {
   }
   generation_bound_ = true;
   generation_ = gen;
-}
-
-uint64_t SelectivityMemo::bound_generation() const {
-  std::shared_lock<OrderedSharedMutex> lock(mu_);
-  return generation_;
 }
 
 }  // namespace condsel

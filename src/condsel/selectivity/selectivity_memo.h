@@ -1,42 +1,33 @@
-// SelectivityMemo — the shared, thread-safe memo of the getSelectivity DP.
+// SelectivityMemo — the memo of the getSelectivity DP.
 //
-// Keyed by predicate-subset bitmask. Storage is a deque behind a mutex so
-// entry references stay valid for the lifetime of the memo (both drivers
-// hold references across later inserts; the parallel driver's workers
-// insert concurrently). Insertion is first-wins: if two workers solve the
-// same subset (possible when a level's subsets share children across
-// Compute() calls), the first entry stands and the duplicate is dropped —
-// both are bit-identical on budget-free runs, so which one wins is
-// unobservable.
+// Keyed by predicate-subset bitmask. Storage is a deque so entry
+// references stay valid for the lifetime of the memo (the driver holds
+// references across later inserts). Like its owner GetSelectivity, the
+// memo is externally synchronized: one thread uses it at a time.
 //
 // The index is two-tier, chosen by the key value alone so lookups stay
 // branch-cheap and bit-identical either way:
 //  - keys below kDenseSlots (every query of at most kDenseBits
 //    predicates) resolve through a dense pointer table indexed directly
-//    by the bitmask — one bounds check and one load under the shared
-//    lock, no hashing. The table grows geometrically on insert and is
-//    retained across generation rebinds (refilled with nullptr), so a
-//    warmed-up estimator indexes without allocating.
+//    by the bitmask — one bounds check and one load, no hashing. The
+//    table grows geometrically on insert and is retained across
+//    generation rebinds (refilled with nullptr), so a warmed-up
+//    estimator indexes without allocating.
 //  - larger keys (17..32-predicate universes) fall back to the hash map.
 // A single Find may consult both tiers only when the overflow map is
 // non-empty, which cannot happen for small universes.
 //
 // The memo also holds the per-predicate independence-fallback atoms
 // (the noSit path re-entered by every degraded superset) in a fixed
-// 32-slot array — one per possible predicate index — memoized under the
-// same lock.
+// 32-slot array — one per possible predicate index.
 
 #pragma once
 
 #include <deque>
-#include <shared_mutex>
 #include <unordered_map>
 #include <vector>
 
 #include "condsel/analysis/derivation.h"
-#include "condsel/common/lock_ranks.h"
-#include "condsel/common/ordered_mutex.h"
-#include "condsel/common/thread_annotations.h"
 #include "condsel/query/join_graph.h"
 #include "condsel/query/query.h"
 #include "condsel/selectivity/atomic_provider.h"
@@ -69,19 +60,17 @@ class SelectivityMemo {
 
   // The entry for `p`, or nullptr. The reference stays valid for the
   // memo's lifetime.
-  const MemoEntry* Find(PredSet p) const CONDSEL_EXCLUDES(mu_);
+  const MemoEntry* Find(PredSet p) const;
 
-  // Inserts (first-wins) and returns the stored entry.
-  const MemoEntry& Insert(PredSet p, MemoEntry entry) CONDSEL_EXCLUDES(mu_);
+  // Stores the entry for `p`, which must not be present yet, and returns
+  // it.
+  const MemoEntry& Insert(PredSet p, MemoEntry entry);
 
-  // Per-predicate fallback atoms, same contract. `inserted` (optional)
-  // reports whether `atom` was stored (false: an earlier atom won).
-  const DerivationAtom* FindAtom(int pred) const CONDSEL_EXCLUDES(mu_);
-  const DerivationAtom& InsertAtom(int pred, DerivationAtom atom,
-                                   bool* inserted = nullptr)
-      CONDSEL_EXCLUDES(mu_);
+  // Per-predicate fallback atoms, same contract.
+  const DerivationAtom* FindAtom(int pred) const;
+  const DerivationAtom& InsertAtom(int pred, DerivationAtom atom);
 
-  size_t size() const CONDSEL_EXCLUDES(mu_);
+  size_t size() const;
 
   // Binds the memo to a statistics generation. Entries cache estimates
   // derived from one pool; a subset bitmask alone does not identify an
@@ -90,27 +79,22 @@ class SelectivityMemo {
   // calls), every entry and atom is dropped before rebinding — the dense
   // table keeps its storage and is refilled with nullptr, so the rebind
   // itself allocates nothing. The first call binds without clearing.
-  // Entry references handed out before a rebind are invalidated — drivers
-  // call this only at the top of a Compute() pass, before taking any.
-  void BindGeneration(uint64_t gen) CONDSEL_EXCLUDES(mu_);
-  uint64_t bound_generation() const CONDSEL_EXCLUDES(mu_);
+  // Entry references handed out before a rebind are invalidated — the
+  // driver calls this only at the top of a Compute() pass, before taking
+  // any.
+  void BindGeneration(uint64_t gen);
+  uint64_t bound_generation() const { return generation_; }
 
  private:
-  // Reader-writer: the parallel driver's workers Find far more often than
-  // they Insert (every candidate tail is a read), so shared read locks
-  // keep the memo off the contention path.
-  mutable OrderedSharedMutex mu_{lock_rank::kSelectivityMemo,
-                                 "SelectivityMemo::mu_"};
-  std::deque<MemoEntry> entries_ CONDSEL_GUARDED_BY(mu_);
+  std::deque<MemoEntry> entries_;
   // Dense tier: slot p holds the entry for subset p (nullptr = absent).
-  std::vector<const MemoEntry*> dense_ CONDSEL_GUARDED_BY(mu_);
+  std::vector<const MemoEntry*> dense_;
   // Overflow tier for keys >= kDenseSlots.
-  std::unordered_map<PredSet, const MemoEntry*> overflow_
-      CONDSEL_GUARDED_BY(mu_);
-  DerivationAtom atoms_[kMaxPredicates] CONDSEL_GUARDED_BY(mu_);
-  bool atom_present_[kMaxPredicates] CONDSEL_GUARDED_BY(mu_) = {};
-  bool generation_bound_ CONDSEL_GUARDED_BY(mu_) = false;
-  uint64_t generation_ CONDSEL_GUARDED_BY(mu_) = 0;
+  std::unordered_map<PredSet, const MemoEntry*> overflow_;
+  DerivationAtom atoms_[kMaxPredicates];
+  bool atom_present_[kMaxPredicates] = {};
+  bool generation_bound_ = false;
+  uint64_t generation_ = 0;
 };
 
 }  // namespace condsel

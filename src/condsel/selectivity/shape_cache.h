@@ -25,8 +25,7 @@
 // Correctness gates: a list is stored only when its enumeration ran to
 // completion (never from a deadline-truncated pass), so a cached copy is
 // bit-for-bit the list a fresh enumeration would produce and the
-// estimator-equivalence and thread-count bit-identity properties are
-// preserved.
+// estimator-equivalence property is preserved.
 //
 // Thread-safety: the registry map and each Entry carry their own
 // reader/writer locks (ranks kShapeCache / kShapeEntry); entries are

@@ -9,7 +9,9 @@
 
 #include "condsel/baselines/feedback.h"
 #include "condsel/common/fault_injector.h"
+#include "condsel/common/numeric.h"
 #include "condsel/exec/cardinality_cache.h"
+#include "condsel/harness/metrics.h"
 #include "condsel/sit/sit_matcher.h"
 
 namespace condsel {
@@ -175,22 +177,16 @@ StatusOr<ServiceEstimate> EstimationService::Attempt(
                          std::to_string(snap.epoch()) + ")"));
   }
   const EstimationBudget budget = BudgetForMode(mode, remaining_seconds);
-  const uint64_t session_id =
-      next_session_id_.fetch_add(1, std::memory_order_relaxed);
   Estimator estimator(&snap.catalog(), &snap.pool(), options_.ranking,
                       budget, &shape_cache_);
   double selectivity = 0.0;
-  double cardinality = 0.0;
   try {
     StatusOr<double> sel = estimator.TryEstimateSelectivity(query);
     if (!sel.ok()) return StatusOr<ServiceEstimate>(sel.status());
-    StatusOr<double> card = estimator.TryEstimateCardinality(query);
-    if (!card.ok()) return StatusOr<ServiceEstimate>(card.status());
     selectivity = sel.value();
-    cardinality = card.value();
   } catch (const std::exception& e) {
     // The attempt's session unwound before it produced an estimate;
-    // nothing was settled, so a retry starts clean. Only the known
+    // nothing reached the ledger, so a retry starts clean. Only the known
     // TransientFault is retryable — anything else maps to terminal
     // INTERNAL (a deterministic bug would fail every retry identically).
     return StatusOr<ServiceEstimate>(
@@ -199,12 +195,15 @@ StatusOr<ServiceEstimate> EstimationService::Attempt(
 
   ServiceEstimate out;
   out.selectivity = selectivity;
-  out.cardinality = cardinality;
+  // Same expression as Estimator::TryEstimateCardinality, so Submit stays
+  // bit-identical to a direct Estimator without a second search pass.
+  out.cardinality = SanitizeCardinality(
+      selectivity *
+      CrossProductCardinality(snap.catalog(), query, query.all_predicates()));
   out.epoch = snap.epoch();
   out.mode = mode;
   if (const GsStats* stats = estimator.StatsFor(query)) {
-    ledger_.Settle(session_id, *stats);
-    ledger_.Forget(session_id);  // the per-attempt session is done growing
+    ledger_.Add(*stats);
     out.degraded =
         stats->budget_exhausted || stats->degraded_subproblems > 0;
   }

@@ -191,7 +191,7 @@ class EstimationService {
   // budget left.
   EstimationBudget BudgetForMode(ServiceMode mode,
                                  double remaining_seconds) const;
-  // One estimation attempt against `snap`; settles search stats into the
+  // One estimation attempt against `snap`; adds its search stats to the
   // ledger. Returns the estimate or the attempt's failure status.
   StatusOr<ServiceEstimate> Attempt(const Query& query,
                                     const Snapshot& snap,
@@ -210,7 +210,6 @@ class EstimationService {
   // Holds query structure only — no statistics — so snapshot epoch swaps
   // and delta refreshes never invalidate it (see shape_cache.h).
   ShapeCache shape_cache_;
-  std::atomic<uint64_t> next_session_id_{1};
 
   // Backoff jitter stream; Rng is not thread-safe, so draws serialize.
   mutable OrderedMutex jitter_mu_{lock_rank::kServiceJitter,

@@ -42,16 +42,9 @@ double LatencyRecorder::QuantileSeconds(double q) const {
   return std::ldexp(1.0, kBuckets) * 1e-6;
 }
 
-void GsStatsLedger::Settle(uint64_t session_id, const GsStats& cumulative) {
+void GsStatsLedger::Add(const GsStats& attempt) {
   const std::lock_guard<OrderedMutex> lock(mu_);
-  GsStats& last = last_settled_[session_id];
-  AddGsStats(DiffGsStats(cumulative, last), &total_);
-  last = cumulative;
-}
-
-void GsStatsLedger::Forget(uint64_t session_id) {
-  const std::lock_guard<OrderedMutex> lock(mu_);
-  last_settled_.erase(session_id);
+  AddGsStats(attempt, &total_);
 }
 
 GsStats GsStatsLedger::total() const {

@@ -1,27 +1,15 @@
 // Service-level telemetry: request counters, latency quantiles, and the
-// double-count-proof GsStats aggregator.
+// GsStats total across attempts.
 //
 // Everything here is written from many session threads at once, so the
 // counters are relaxed atomics (exactness of *sums* matters; ordering
 // between counters does not — invariants are asserted only at quiescence)
 // and the latency histogram is a fixed array of atomic buckets.
-//
-// GsStatsLedger solves a specific accounting trap: GsStats counters are
-// *cumulative over a session's lifetime*, so an aggregator that re-adds a
-// session's stats() after every Compute() would double-count all earlier
-// calls — per-session stats would no longer sum to the service total.
-// The ledger settles deltas (DiffGsStats, budget.h) keyed by session id:
-// settling the same session's growing snapshot any number of times, from
-// any interleaving of threads, contributes each counted event exactly
-// once. tests/service_test.cc's OverlappingSettlement case drives this
-// with concurrent Compute()s and asserts exact equality with the final
-// session stats.
 
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <string>
 
@@ -87,7 +75,7 @@ struct ServiceStatsSnapshot {
   double latency_total_seconds = 0.0;
   double latency_p50_seconds = 0.0;
   double latency_p99_seconds = 0.0;
-  // Aggregate search work across all sessions (ledger-settled).
+  // Aggregate search work across all attempts (the ledger total).
   GsStats search;
 };
 
@@ -110,25 +98,20 @@ struct ServiceCounters {
   LatencyRecorder latency;
 };
 
-// Delta-settling GsStats aggregator (see file comment).
+// The service-wide GsStats total. Every attempt runs on its own
+// per-attempt Estimator, so each finished attempt's stats are added once.
 class GsStatsLedger {
  public:
-  // Adds the growth of session `session_id` since its last settlement.
-  // `cumulative` must be a snapshot of that session's stats() — the
-  // caller copies it while no Compute() on the session is in flight (the
-  // session object itself is externally synchronized, like GetSelectivity).
-  void Settle(uint64_t session_id, const GsStats& cumulative)
-      CONDSEL_EXCLUDES(mu_);
-
-  // Drops a session's baseline (its contributions stay in the total).
-  void Forget(uint64_t session_id) CONDSEL_EXCLUDES(mu_);
+  // Adds one finished attempt's stats. The caller reads them while no
+  // Compute() on that estimator is in flight (GetSelectivity is
+  // externally synchronized).
+  void Add(const GsStats& attempt) CONDSEL_EXCLUDES(mu_);
 
   GsStats total() const CONDSEL_EXCLUDES(mu_);
 
  private:
   mutable OrderedMutex mu_{lock_rank::kGsStatsLedger, "GsStatsLedger::mu_"};
   GsStats total_ CONDSEL_GUARDED_BY(mu_);
-  std::map<uint64_t, GsStats> last_settled_ CONDSEL_GUARDED_BY(mu_);
 };
 
 }  // namespace condsel

@@ -127,7 +127,7 @@ class SitMatcher {
   // (attr, attr2) with attr <= attr2 -> multidimensional candidates.
   std::map<std::pair<ColumnRef, ColumnRef>, std::vector<SitCandidate>>
       applicable2_;
-  // Atomic so the parallel getSelectivity driver's workers can charge
+  // Atomic so estimators sharing one bound matcher can charge
   // view-matching calls concurrently; the applicability maps above are
   // read-only once BindQuery returns, so lookups need no lock.
   std::atomic<uint64_t> num_calls_{0};

@@ -6,8 +6,8 @@
 // ranks in the message — the same discipline as the analyzer's mutation
 // fixtures (a checker whose failure mode is unproven is decoration). The
 // soak proves the declared order *holds* under real contention: a
-// service Submit storm against snapshot refreshes plus parallel
-// GetSelectivity drivers, all with enforcement forced on; the run
+// service Submit storm against snapshot refreshes plus standalone
+// GetSelectivity searches, all with enforcement forced on; the run
 // completing (no abort) is the assertion of zero violations, and
 // checks_performed() advancing proves enforcement was actually live —
 // an env-var typo cannot silently turn the soak into a no-op.
@@ -104,8 +104,8 @@ TEST(OrderedMutexTest, SharedAndExclusiveInterleaveInOrder) {
 
 TEST(OrderedMutexTest, SameRankAscendingAddressIsLegal) {
   const EnforcementScope scope(true);
-  // Same rank, distinct instances — the worker-deque shape. Ascending
-  // address is the sanctioned pair order.
+  // Same rank, distinct instances of one family. Ascending address is
+  // the sanctioned pair order.
   OrderedMutex a(50, "pair_a");
   OrderedMutex b(50, "pair_b");
   OrderedMutex* lo = &a < &b ? &a : &b;
@@ -151,6 +151,7 @@ TEST(OrderedMutexDeathTest, SelfRelockAborts) {
         loi::ForceEnabledForTesting(true);
         OrderedMutex mu(10, "death_self");
         const std::lock_guard<OrderedMutex> a(mu);
+        // condsel-model: allow(lock-cycle)
         const std::lock_guard<OrderedMutex> b(mu);
       },
       "lock-order violation.*\"death_self\".*rank 10.*"
@@ -225,9 +226,9 @@ TEST_F(LockOrderSoakTest, StormTripsNoOrderViolation) {
   std::atomic<bool> stop{false};
 
   // Session storm: admission (kAdmission) -> snapshot acquire ->
-  // estimation (memo, deques, error slot) -> stats settle
-  // (kGsStatsLedger) -> breaker (kCircuitBreaker), every path nested
-  // under the declared order or the process dies.
+  // estimation (shape cache) -> stats ledger (kGsStatsLedger) -> breaker
+  // (kCircuitBreaker), every path nested under the declared order or the
+  // process dies.
   std::vector<std::thread> sessions;
   for (int t = 0; t < kSessionThreads; ++t) {
     sessions.emplace_back([&, t]() {
@@ -260,20 +261,18 @@ TEST_F(LockOrderSoakTest, StormTripsNoOrderViolation) {
     }
   });
 
-  // Parallel drivers outside the service: worker deques (same-rank pair
-  // steals), the first-error slot, and the shared-mutex memo.
+  // Searches outside the service, racing the storm for the fault
+  // injector and the shared pools.
   std::vector<std::thread> computes;
   for (int c = 0; c < kComputeThreads; ++c) {
     computes.emplace_back([&, c]() {
       DiffError diff;
-      EstimationBudget budget;
-      budget.threads = 4;
       while (!stop.load(std::memory_order_relaxed)) {
         const Query& q = workload_[c % workload_.size()];
         SitMatcher matcher(&pools_[c % pools_.size()]);
         matcher.BindQuery(&q);
         AtomicSelectivityProvider provider(&matcher, &diff);
-        GetSelectivity gs(&q, &provider, &budget);
+        GetSelectivity gs(&q, &provider);
         for (PredSet p : SubPlanFamily(q)) (void)gs.Compute(p);
       }
     });

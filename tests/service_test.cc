@@ -7,20 +7,18 @@
 //  - token-bucket quotas and bounded-queue admission (every rejection is
 //    an explicit outcome, never an unbounded wait);
 //  - the hysteretic circuit-breaker ladder;
-//  - GsStats aggregation: AddGsStats/DiffGsStats algebra and the
-//    GsStatsLedger double-count regression (OverlappingSettlement drives
-//    overlapping concurrent Compute()s and asserts exact totals);
+//  - GsStats aggregation: AddGsStats and the GsStatsLedger sum;
 //  - snapshot epochs: pinning, refcount-driven retirement, failed swaps;
 //  - the service facade end to end: bit-identity with a direct Estimator,
-//    fault-driven retries, degradation rungs, quota accounting, and the
-//    exactly-once non-retried feedback path.
+//    exact search books (one search per attempt), fault-driven retries,
+//    degradation rungs, quota accounting, and the exactly-once
+//    non-retried feedback path.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -30,9 +28,6 @@
 #include "condsel/catalog/part_stats.h"
 #include "condsel/common/fault_injector.h"
 #include "condsel/common/rng.h"
-#include "condsel/selectivity/error_function.h"
-#include "condsel/harness/metrics.h"
-#include "condsel/selectivity/get_selectivity.h"
 #include "condsel/service/admission.h"
 #include "condsel/service/circuit_breaker.h"
 #include "condsel/service/retry.h"
@@ -40,7 +35,6 @@
 #include "condsel/service/service_stats.h"
 #include "condsel/service/snapshot.h"
 #include "condsel/sit/sit_builder.h"
-#include "condsel/sit/sit_matcher.h"
 #include "condsel/sit/sit_pool.h"
 #include "test_util.h"
 
@@ -399,7 +393,7 @@ TEST(BreakerTest, ModeNamesAreStable) {
 }
 
 // ---------------------------------------------------------------------------
-// GsStats aggregation algebra and the ledger double-count regression.
+// GsStats aggregation.
 
 GsStats MakeStats(uint64_t subproblems, uint64_t atomics, bool exhausted) {
   GsStats s;
@@ -408,109 +402,27 @@ GsStats MakeStats(uint64_t subproblems, uint64_t atomics, bool exhausted) {
   s.atomic_considered = atomics;
   s.analysis_seconds = 0.25 * static_cast<double>(subproblems);
   s.budget_exhausted = exhausted;
-  s.max_level_width = subproblems;
   return s;
 }
 
-TEST(GsStatsMergeTest, AddAccumulatesAndOrsAndMaxes) {
+TEST(GsStatsMergeTest, AddAccumulatesAndOrs) {
   GsStats total = MakeStats(3, 10, false);
-  total.level_stats.push_back({1, 4, 0, 0, 4});
-  GsStats delta = MakeStats(5, 2, true);
-  delta.level_stats.push_back({2, 6, 1, 2, 3});
-  AddGsStats(delta, &total);
+  AddGsStats(MakeStats(5, 2, true), &total);
   EXPECT_EQ(total.subproblems, 8u);
+  EXPECT_EQ(total.memo_hits, 16u);
   EXPECT_EQ(total.atomic_considered, 12u);
+  EXPECT_DOUBLE_EQ(total.analysis_seconds, 2.0);
   EXPECT_TRUE(total.budget_exhausted);
-  EXPECT_EQ(total.max_level_width, 5u);  // max, not sum
-  ASSERT_EQ(total.level_stats.size(), 2u);  // batches append
-  EXPECT_EQ(total.level_stats[1].level, 2);
 }
 
-TEST(GsStatsMergeTest, DiffIsTheGrowthSincePrev) {
-  const GsStats prev = MakeStats(3, 10, false);
-  GsStats cumulative = MakeStats(8, 14, true);
-  const GsStats delta = DiffGsStats(cumulative, prev);
-  EXPECT_EQ(delta.subproblems, 5u);
-  EXPECT_EQ(delta.atomic_considered, 4u);
-  EXPECT_TRUE(delta.budget_exhausted);  // newly exhausted since prev
-  // Already-exhausted sessions don't re-contribute the flag.
-  const GsStats again = DiffGsStats(cumulative, cumulative);
-  EXPECT_FALSE(again.budget_exhausted);
-  EXPECT_EQ(again.subproblems, 0u);
-}
-
-TEST(GsStatsMergeTest, DiffSaturatesInsteadOfWrapping) {
-  const GsStats prev = MakeStats(9, 20, false);
-  const GsStats cumulative = MakeStats(3, 5, false);  // misordered pair
-  const GsStats delta = DiffGsStats(cumulative, prev);
-  EXPECT_EQ(delta.subproblems, 0u);
-  EXPECT_EQ(delta.atomic_considered, 0u);
-}
-
-// The regression the ledger exists for: two sessions Compute()ing
-// concurrently, each settling its *cumulative* stats after every call.
-// A naive aggregator that re-adds each snapshot double-counts every
-// earlier call; the ledger's total must equal the final session stats
-// exactly, from any interleaving.
-TEST(GsStatsMergeTest, OverlappingSettlement) {
-  const Catalog catalog = test::MakeTinyCatalog();
-  CardinalityCache cache;
-  Evaluator eval(&catalog, &cache);
-  SitBuilder builder(&eval, {HistogramType::kMaxDiff, 64});
-  const Query q({Predicate::Filter(Ra(), 1, 5), Predicate::Join(Rx(), Sy()),
-                 Predicate::Join(Sb(), Tz())});
-  const SitPool pool = GenerateSitPool({q}, 2, builder);
-
+TEST(GsStatsMergeTest, LedgerSumsEveryAttempt) {
   GsStatsLedger ledger;
-  GsStats naive_total;
-  std::mutex naive_mu;
-  std::vector<GsStats> finals(2);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 2; ++t) {
-    threads.emplace_back([&, t]() {
-      DiffError diff;
-      SitMatcher matcher(&pool);
-      matcher.BindQuery(&q);
-      AtomicSelectivityProvider provider(&matcher, &diff);
-      GetSelectivity gs(&q, &provider, nullptr);
-      for (PredSet p : SubPlanFamily(q)) {
-        gs.Compute(p);
-        // Settle the growing cumulative snapshot after *every* call,
-        // overlapping with the other session's settlements.
-        ledger.Settle(static_cast<uint64_t>(t), gs.stats());
-        const std::lock_guard<std::mutex> lock(naive_mu);
-        AddGsStats(gs.stats(), &naive_total);  // the buggy aggregation
-      }
-      finals[t] = gs.stats();
-    });
-  }
-  for (std::thread& th : threads) th.join();
-
-  GsStats expected;
-  AddGsStats(finals[0], &expected);
-  AddGsStats(finals[1], &expected);
+  ledger.Add(MakeStats(4, 8, false));
+  ledger.Add(MakeStats(2, 3, true));
   const GsStats total = ledger.total();
-  EXPECT_EQ(total.subproblems, expected.subproblems);
-  EXPECT_EQ(total.memo_hits, expected.memo_hits);
-  EXPECT_EQ(total.atomic_considered, expected.atomic_considered);
-  EXPECT_EQ(total.degraded_subproblems, expected.degraded_subproblems);
-  EXPECT_EQ(total.default_fallbacks, expected.default_fallbacks);
-  EXPECT_EQ(total.budget_exhausted, expected.budget_exhausted);
-  EXPECT_NEAR(total.analysis_seconds, expected.analysis_seconds, 1e-9);
-  EXPECT_NEAR(total.histogram_seconds, expected.histogram_seconds, 1e-9);
-  // And the naive cumulative re-add really does double-count — the trap
-  // is live, not hypothetical.
-  EXPECT_GT(naive_total.subproblems, expected.subproblems);
-}
-
-TEST(GsStatsMergeTest, LedgerForgetKeepsContributions) {
-  GsStatsLedger ledger;
-  ledger.Settle(1, MakeStats(4, 8, false));
-  ledger.Forget(1);
-  EXPECT_EQ(ledger.total().subproblems, 4u);
-  // A new session reusing the id starts from a clean baseline.
-  ledger.Settle(1, MakeStats(2, 3, false));
-  EXPECT_EQ(ledger.total().subproblems, 6u);
+  EXPECT_EQ(total.subproblems, 6u);
+  EXPECT_EQ(total.atomic_considered, 11u);
+  EXPECT_TRUE(total.budget_exhausted);
 }
 
 // ---------------------------------------------------------------------------
@@ -638,6 +550,47 @@ TEST_F(ServiceTest, SubmitMatchesDirectEstimatorBitForBit) {
   EXPECT_EQ(stats.mode_submissions[0], 1u);
   EXPECT_EQ(stats.latency_count, 1u);
   EXPECT_GT(stats.search.subproblems, 0u);
+}
+
+// One Submit runs one search: the service's books equal a direct
+// Estimator's after one estimate. A second pass over the same estimator
+// (to derive the cardinality) would add a memo hit.
+TEST_F(ServiceTest, SubmitSearchesOnce) {
+  EstimationService service;
+  ASSERT_TRUE(service.Refresh(catalog_, pool_).ok());
+  ASSERT_TRUE(service.Submit("t", query_).ok());
+
+  Estimator direct(&catalog_, &pool_, Ranking::kDiff);
+  ASSERT_TRUE(direct.TryEstimateSelectivity(query_).ok());
+  const GsStats* expected = direct.StatsFor(query_);
+  ASSERT_NE(expected, nullptr);
+
+  const GsStats search = service.Stats().search;
+  EXPECT_EQ(search.memo_hits, expected->memo_hits);
+  EXPECT_EQ(search.subproblems, expected->subproblems);
+  EXPECT_EQ(search.atomic_considered, expected->atomic_considered);
+}
+
+// Every attempt runs on a fresh estimator, so N identical Submits book
+// exactly N times one fresh estimator's search.
+TEST_F(ServiceTest, SequentialSubmitsBookExactTotals) {
+  constexpr uint64_t kSubmits = 5;
+  EstimationService service;
+  ASSERT_TRUE(service.Refresh(catalog_, pool_).ok());
+  for (uint64_t i = 0; i < kSubmits; ++i) {
+    ASSERT_TRUE(service.Submit("t", query_).ok());
+  }
+
+  Estimator fresh(&catalog_, &pool_, Ranking::kDiff);
+  ASSERT_TRUE(fresh.TryEstimateSelectivity(query_).ok());
+  const GsStats* one = fresh.StatsFor(query_);
+  ASSERT_NE(one, nullptr);
+  ASSERT_GT(one->subproblems, 0u);
+
+  const GsStats search = service.Stats().search;
+  EXPECT_EQ(search.subproblems, kSubmits * one->subproblems);
+  EXPECT_EQ(search.memo_hits, kSubmits * one->memo_hits);
+  EXPECT_EQ(search.atomic_considered, kSubmits * one->atomic_considered);
 }
 
 TEST_F(ServiceTest, TransientFaultRetriesThenReportsUnavailable) {

@@ -17,7 +17,6 @@
 //   --max-subproblems=<N>   budget: memo entries computed     (0 = unlimited)
 //   --max-atomic=<N>        budget: atomic decompositions     (0 = unlimited)
 //   --deadline-ms=<F>       budget: wall clock per estimate   (0 = unlimited)
-//   --threads=<N>           getSelectivity DP worker threads  (default 1)
 //   --stats                 print search statistics and degradation flags
 //   --audit                 record every estimator's derivation DAG and
 //                           statically verify it (DerivationAuditor); a
@@ -117,8 +116,6 @@ bool ParseArgs(int argc, char** argv, Options* out) {
           static_cast<uint64_t>(std::strtoull(v, nullptr, 10));
     } else if ((v = value("--deadline-ms=")) != nullptr) {
       out->budget.deadline_seconds = std::atof(v) / 1000.0;
-    } else if ((v = value("--threads=")) != nullptr) {
-      out->budget.threads = std::max(1, std::atoi(v));
     } else if (arg == "--stats") {
       out->stats = true;
     } else if (arg == "--audit") {
@@ -151,8 +148,7 @@ void Usage() {
       "                   [--ranking=diff|nind] [--catalog=PATH "
       "[--pool=PATH]]\n"
       "                   [--max-subproblems=N] [--max-atomic=N]\n"
-      "                   [--deadline-ms=F] [--threads=N] [--stats] "
-      "[--audit]\n"
+      "                   [--deadline-ms=F] [--stats] [--audit]\n"
       "                   [--serve-selftest] [--truth] [--explain] "
       "[SQL ...]\n"
       "With no SQL arguments, statements are read from stdin, one per "
@@ -487,26 +483,6 @@ int main(int argc, char** argv) {
               s->budget_exhausted ? "yes" : "no",
               static_cast<unsigned long long>(s->degraded_subproblems),
               static_cast<unsigned long long>(s->default_fallbacks));
-        }
-        if (s->parallel_levels > 0) {
-          std::printf(
-              "            scheduler: %llu levels (widest %llu), %llu "
-              "steals moved %llu subsets\n",
-              static_cast<unsigned long long>(s->parallel_levels),
-              static_cast<unsigned long long>(s->max_level_width),
-              static_cast<unsigned long long>(s->steals),
-              static_cast<unsigned long long>(s->stolen_subsets));
-          for (const GsLevelStats& ls : s->level_stats) {
-            if (ls.steals == 0 && ls.max_solved_by_one_worker == 0) continue;
-            std::printf(
-                "              level %d: width %llu, busiest worker "
-                "solved %llu, %llu steals (%llu subsets)\n",
-                ls.level, static_cast<unsigned long long>(ls.width),
-                static_cast<unsigned long long>(
-                    ls.max_solved_by_one_worker),
-                static_cast<unsigned long long>(ls.steals),
-                static_cast<unsigned long long>(ls.stolen_subsets));
-          }
         }
       }
     }

@@ -26,9 +26,7 @@ return inventory in cpp_model_common.py.  Four check families:
                   histogram accessors and tracked through assignments and
                   arithmetic; every escaping path (a `double` return, a
                   write to a `.selectivity`-like field) must pass through
-                  SanitizeSelectivity.  Supersedes condsel_lint's regex
-                  `sanitize-selectivity` rule, which stays as a fast
-                  pre-check.
+                  SanitizeSelectivity.
   hot-path-alloc  CONDSEL_HOT (common/macros.h) marks the estimation hot
                   path.  Every heap-allocation site reachable from a hot
                   function is censused into tools/alloc_budget.toml; a new

@@ -16,18 +16,6 @@ comment on the same or the preceding line):
                         line above. Unjustified CHECKs in status-routed
                         code are exactly the aborts PR 1 set out to
                         eliminate — validate and return Status instead.
-  sanitize-selectivity  a .cc under src/condsel/{selectivity,baselines}/
-                        defining a double-returning Estimate method must
-                        route results through SanitizeSelectivity. This is
-                        the *fast pre-check*: it fires on the definition
-                        line with zero flow reasoning. The authoritative
-                        check is condsel_flow's sanitize-flow, which
-                        taint-tracks selectivity values through locals and
-                        arithmetic to every return and field write; this
-                        rule stays because its diagnostic is immediate and
-                        its false-negative space (a file that mentions
-                        SanitizeSelectivity anywhere) is exactly what the
-                        flow analyzer covers.
   exhaustive-status-switch
                         no `default:` label in a switch over StatusCode in
                         library code. StatusCodeName and
@@ -209,30 +197,6 @@ def check_justified(path: str, text: str, lines: list[str]) -> list[Finding]:
             "CONDSEL_CHECK in status-routed code needs an `invariant:` "
             "comment (or convert it to a Status return)"))
     return findings
-
-
-ESTIMATE_DEF_RE = re.compile(r"^double\s+\w+::\w*Estimate\w*\s*\(",
-                             re.MULTILINE)
-
-
-def check_sanitize(path: str, text: str, lines: list[str]) -> list[Finding]:
-    if not (path.startswith("src/condsel/selectivity/")
-            or path.startswith("src/condsel/baselines/")):
-        return []
-    if not path.endswith(".cc"):
-        return []
-    m = ESTIMATE_DEF_RE.search(text)
-    if not m:
-        return []
-    if "SanitizeSelectivity" in text:
-        return []
-    line = text.count("\n", 0, m.start()) + 1
-    if _allowed(lines, line - 1, "sanitize-selectivity"):
-        return []
-    return [Finding(
-        path, line, "sanitize-selectivity",
-        "selectivity-returning Estimate defined here, but nothing routes "
-        "through SanitizeSelectivity")]
 
 
 def check_includes(path: str, text: str, lines: list[str]) -> list[Finding]:
@@ -524,7 +488,6 @@ RULES = [
     check_pragma_once,
     check_using_namespace,
     check_justified,
-    check_sanitize,
     check_includes,
     check_no_abort,
     check_nodiscard_status,
