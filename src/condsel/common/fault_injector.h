@@ -42,7 +42,8 @@
 //  - kSlowRefresh: SnapshotPublisher::Publish stalls briefly *before*
 //    taking the publication lock, simulating a slow statistics rebuild —
 //    estimates on the current epoch must keep flowing at full rate while
-//    the refresh drags (the no-blocking-under-epoch-lock discipline).
+//    the refresh drags (the discipline condsel_model's blocking-reachable
+//    check polices).
 //  - kCorruptPartStats: PartStatsSet::BuildMergedPool corrupts one
 //    working-copy piece (NaN source cardinality, the scalar a torn write
 //    would hit) before validation — the merge must answer DATA_LOSS, and

@@ -4,9 +4,10 @@
 // constructed with one of these constants. The rule: a thread may only
 // acquire a mutex whose (rank, address) pair is lexicographically greater
 // than that of the last mutex it already holds — lower ranks are outer,
-// higher ranks are inner. Two mutexes share a rank only when they are
-// instances of the same multi-instance family, in which case address
-// order disambiguates.
+// higher ranks are inner. Every manifest entry has a rank of its own:
+// the address tie-break only orders two instances of one class, and
+// condsel_model reports any nesting of a mutex inside itself as a
+// lock-cycle.
 //
 // This table is mirrored by tools/lock_order.toml; tools/condsel_model.py
 // fails the build if the two drift apart or if any acquisition edge in
@@ -32,15 +33,13 @@ inline constexpr int kSnapshotRefresh = 20;
 // service/: epoch ledger; innermost of the snapshot pair and the
 // designated "acquire path" lock of the blocking-reachability check.
 inline constexpr int kSnapshotEpoch = 30;
-// service/: feedback application takes jitter + cache locks inside it.
-inline constexpr int kServiceFeedback = 40;
+// service/: backoff jitter stream.
 inline constexpr int kServiceJitter = 50;
 // service/: per-tenant circuit breaker ladder.
 inline constexpr int kCircuitBreaker = 60;
 // service/: GsStats aggregation ledger.
 inline constexpr int kGsStatsLedger = 70;
-// exec/: cardinality feedback cache; locked under kServiceFeedback via
-// EstimationService::ObserveFeedback.
+// exec/: cardinality feedback cache.
 inline constexpr int kCardinalityCache = 80;
 // selectivity/: shape-keyed decomposition cache — the shape registry map
 // (Acquire, off the hot path) and the per-shape skeleton entries (looked

@@ -46,7 +46,6 @@ class CardinalityCache {
   void ResetCounters();
 
  private:
-  // Locked under EstimationService::feedback_mu_ by the feedback path.
   mutable OrderedMutex mu_{lock_rank::kCardinalityCache,
                            "CardinalityCache::mu_"};
   std::map<std::vector<Predicate>, double> cache_ CONDSEL_GUARDED_BY(mu_);

@@ -27,26 +27,19 @@ bool RetryableStatusCode(StatusCode code) {
 double BackoffSeconds(const RetryPolicy& policy, int attempt, Rng* rng) {
   const int exponent = std::max(0, attempt - 1);
   double backoff = policy.initial_backoff_seconds *
-                   std::pow(policy.backoff_multiplier, exponent);
-  if (rng != nullptr && policy.jitter_fraction > 0.0) {
-    const double lo = 1.0 - policy.jitter_fraction;
-    const double span = 2.0 * policy.jitter_fraction;
+                   std::pow(kBackoffMultiplier, exponent);
+  if (rng != nullptr) {
+    const double lo = 1.0 - kJitterFraction;
+    const double span = 2.0 * kJitterFraction;
     backoff *= lo + span * rng->NextDouble();
   }
   return std::min(backoff, policy.max_backoff_seconds);
 }
 
 RetryDecision DecideRetry(const RetryPolicy& policy, StatusCode code,
-                          int attempt, bool idempotent,
-                          double remaining_deadline_seconds, Rng* rng) {
+                          int attempt, double remaining_deadline_seconds,
+                          Rng* rng) {
   RetryDecision d;
-  if (!idempotent) {
-    // A feedback observation may have partially applied before the
-    // failure; replaying it would double-observe. The caller sees the
-    // error and decides at a layer that can deduplicate.
-    d.reason = "non-idempotent request is never retried";
-    return d;
-  }
   if (attempt >= policy.max_attempts) {
     d.reason = "attempt limit reached";
     return d;

@@ -15,10 +15,6 @@
 //     retrying into an overloaded admission queue amplifies the overload
 //     the rejection exists to shed.
 //
-// Orthogonally, non-idempotent requests (feedback observations, which
-// accumulate into per-column adjustments) are never retried regardless of
-// code: a retry after a partially applied update would double-observe.
-//
 // Backoff is exponential with full multiplicative jitter, capped, and
 // always bounded by the caller's remaining deadline — a retry that could
 // not start before the deadline is not attempted at all (deadline
@@ -34,17 +30,20 @@ namespace condsel {
 struct RetryPolicy {
   int max_attempts = 3;                   // total tries, including the first
   double initial_backoff_seconds = 5e-4;  // before the first retry
-  double backoff_multiplier = 2.0;
   double max_backoff_seconds = 0.05;      // cap per sleep
-  double jitter_fraction = 0.2;           // uniform in [1-j, 1+j]
 };
+
+// Growth factor of the backoff per failed attempt.
+inline constexpr double kBackoffMultiplier = 2.0;
+// Jitter scales each backoff by a factor uniform in [1-j, 1+j].
+inline constexpr double kJitterFraction = 0.2;
 
 // True when `code` names a transient condition a retry can outlive.
 bool RetryableStatusCode(StatusCode code);
 
 // Backoff before the retry following failed attempt number `attempt`
 // (1-based). Exponential in `attempt`, scaled by a jitter factor drawn
-// uniformly from [1 - jitter_fraction, 1 + jitter_fraction], capped at
+// uniformly from [1 - kJitterFraction, 1 + kJitterFraction], capped at
 // max_backoff_seconds (the cap applies after jitter, so the bound is
 // hard). Deterministic given `rng`.
 double BackoffSeconds(const RetryPolicy& policy, int attempt, Rng* rng);
@@ -58,12 +57,11 @@ struct RetryDecision {
 };
 
 // Decides whether failed attempt `attempt` (1-based) with status `code`
-// should be retried. `idempotent` is false for feedback updates;
-// `remaining_deadline_seconds` is the caller's unspent deadline
-// (infinity when the caller set none). Never decides to retry when the
-// backoff would not complete before the remaining deadline.
+// should be retried. `remaining_deadline_seconds` is the caller's unspent
+// deadline (infinity when the caller set none). Never decides to retry
+// when the backoff would not complete before the remaining deadline.
 RetryDecision DecideRetry(const RetryPolicy& policy, StatusCode code,
-                          int attempt, bool idempotent,
-                          double remaining_deadline_seconds, Rng* rng);
+                          int attempt, double remaining_deadline_seconds,
+                          Rng* rng);
 
 }  // namespace condsel

@@ -7,12 +7,9 @@
 #include <thread>
 #include <utility>
 
-#include "condsel/baselines/feedback.h"
 #include "condsel/common/fault_injector.h"
 #include "condsel/common/numeric.h"
-#include "condsel/exec/cardinality_cache.h"
 #include "condsel/harness/metrics.h"
-#include "condsel/sit/sit_matcher.h"
 
 namespace condsel {
 
@@ -25,6 +22,14 @@ double NowSeconds() {
 }
 
 constexpr double kNoDeadline = std::numeric_limits<double>::infinity();
+
+// Budget of the degradation ladder's kCapped rung (see BudgetForMode).
+constexpr EstimationBudget kCappedBudget{/*max_subproblems=*/64,
+                                         /*max_atomic_decompositions=*/512,
+                                         /*deadline_seconds=*/0.005};
+
+// Seed for the backoff jitter stream, fixed so retries are reproducible.
+constexpr uint64_t kJitterSeed = 0x5e671ce5eedull;
 
 // Releases an admission slot on every exit path of Submit.
 class SlotReleaser {
@@ -50,31 +55,11 @@ Status ClassifyAttemptException(const char* op, const std::exception& e) {
                           " threw an unexpected exception: " + e.what());
 }
 
-// Per-epoch feedback machinery. The snapshot handle pins the epoch the
-// matcher and evaluator borrow from, so a Refresh can never free the
-// statistics mid-observation; the whole bundle is rebuilt (empty) when an
-// observation arrives for a newer epoch.
-struct EstimationService::FeedbackState {
-  explicit FeedbackState(std::shared_ptr<const Snapshot> s)
-      : snap(std::move(s)),
-        matcher(&snap->pool()),
-        estimator(&matcher),
-        evaluator(&snap->catalog(), &cache) {}
-
-  std::shared_ptr<const Snapshot> snap;
-  SitMatcher matcher;
-  FeedbackEstimator estimator;
-  CardinalityCache cache;
-  Evaluator evaluator;
-};
-
 EstimationService::EstimationService(ServiceOptions options)
     : options_(std::move(options)),
       admission_(options_.admission),
       breaker_(options_.breaker),
-      jitter_rng_(options_.jitter_seed) {}
-
-EstimationService::~EstimationService() = default;
+      jitter_rng_(kJitterSeed) {}
 
 StatusOr<uint64_t> EstimationService::Refresh(Catalog catalog, SitPool pool) {
   return publisher_.Publish(std::move(catalog), std::move(pool));
@@ -137,10 +122,9 @@ EstimationBudget EstimationService::BudgetForMode(
   EstimationBudget budget;
   switch (mode) {
     case ServiceMode::kFull:
-      budget = options_.full_budget;
-      break;
+      break;  // unlimited counts, clocked only by the caller's deadline
     case ServiceMode::kCapped:
-      budget = options_.capped_budget;
+      budget = kCappedBudget;
       break;
     case ServiceMode::kIndependence:
       // One memo entry exhausts the budget before any decomposition is
@@ -215,11 +199,9 @@ StatusOr<ServiceEstimate> EstimationService::Submit(const std::string& tenant,
                                                     SubmitOptions options) {
   counters_.submitted.fetch_add(1, std::memory_order_relaxed);
   const double start = NowSeconds();
-  const double deadline_seconds = options.deadline_seconds > 0.0
-                                      ? options.deadline_seconds
-                                      : options_.default_deadline_seconds;
-  const double deadline_at =
-      deadline_seconds > 0.0 ? start + deadline_seconds : kNoDeadline;
+  const double deadline_at = options.deadline_seconds > 0.0
+                                 ? start + options.deadline_seconds
+                                 : kNoDeadline;
   const auto remaining = [&]() {
     return deadline_at == kNoDeadline ? kNoDeadline
                                       : deadline_at - NowSeconds();
@@ -265,14 +247,12 @@ StatusOr<ServiceEstimate> EstimationService::Submit(const std::string& tenant,
   counters_.mode_submissions[static_cast<int>(mode)].fetch_add(
       1, std::memory_order_relaxed);
 
-  // kFull with no count caps can only "fail" by deadline degradation; a
-  // degraded answer is kept as the graceful floor while retries probe for
-  // a clean one.
+  // kFull has no count caps, so it can only "fail" by deadline
+  // degradation: the attempt is classified DEADLINE_EXCEEDED and retried
+  // while the caller has budget left, and the degraded answer is kept as
+  // the graceful floor if retries run out.
   const bool classify_degraded =
-      options_.retry_degraded_full_estimates && mode == ServiceMode::kFull &&
-      options_.full_budget.max_subproblems == 0 &&
-      options_.full_budget.max_atomic_decompositions == 0 &&
-      deadline_at != kNoDeadline;
+      mode == ServiceMode::kFull && deadline_at != kNoDeadline;
   bool have_floor = false;
   ServiceEstimate floor;
 
@@ -322,7 +302,7 @@ StatusOr<ServiceEstimate> EstimationService::Submit(const std::string& tenant,
     {
       const std::lock_guard<OrderedMutex> lock(jitter_mu_);
       decision = DecideRetry(options_.retry, attempt_status.code(), attempt,
-                             /*idempotent=*/true, remaining(), &jitter_rng_);
+                             remaining(), &jitter_rng_);
     }
     if (!decision.retry) {
       if (decision.reason == std::string("caller deadline exhausted")) {
@@ -371,57 +351,6 @@ size_t EstimationService::Prewarm(const std::string& tenant,
   return warmed;
 }
 
-Status EstimationService::ObserveFeedback(const std::string& tenant,
-                                          const Query& query) {
-  (void)tenant;  // feedback adjustments are shared statistics, not quota'd
-  std::shared_ptr<const Snapshot> snap = publisher_.Acquire();
-  if (snap == nullptr) {
-    return Status::FailedPrecondition(
-        "no statistics epoch has been published yet");
-  }
-  const std::lock_guard<OrderedMutex> lock(feedback_mu_);
-  if (feedback_ == nullptr || feedback_->snap->epoch() != snap->epoch()) {
-    feedback_ = std::make_unique<FeedbackState>(snap);
-  }
-  Status status = Status::Ok();
-  try {
-    feedback_->estimator.Observe(query, &feedback_->evaluator);
-  } catch (const std::exception& e) {
-    // The adjustment accumulator may have absorbed part of the
-    // observation before the throw — replaying would double-observe, so
-    // this path never retries (DecideRetry documents the decision and the
-    // counter makes it visible).
-    status = ClassifyAttemptException("feedback observation", e);
-  }
-  if (status.ok()) {
-    counters_.feedback_updates.fetch_add(1, std::memory_order_relaxed);
-    return status;
-  }
-  counters_.feedback_failures.fetch_add(1, std::memory_order_relaxed);
-  RetryDecision decision;
-  {
-    const std::lock_guard<OrderedMutex> jitter_lock(jitter_mu_);
-    decision = DecideRetry(options_.retry, status.code(), /*attempt=*/1,
-                           /*idempotent=*/false, kNoDeadline, &jitter_rng_);
-  }
-  if (!decision.retry) {
-    counters_.no_retry_non_idempotent.fetch_add(1, std::memory_order_relaxed);
-  }
-  return status;
-}
-
-double EstimationService::FeedbackAdjustmentFor(ColumnRef col) const {
-  const std::shared_ptr<const Snapshot> snap = publisher_.Acquire();
-  const std::lock_guard<OrderedMutex> lock(feedback_mu_);
-  // Adjustments are per-epoch: a state built for a retired epoch reads as
-  // untrained (the next observation rebuilds it on the current epoch).
-  if (feedback_ == nullptr || snap == nullptr ||
-      feedback_->snap->epoch() != snap->epoch()) {
-    return 1.0;
-  }
-  return feedback_->estimator.AdjustmentFor(col);
-}
-
 ServiceStatsSnapshot EstimationService::Stats() const {
   ServiceStatsSnapshot snap;
   snap.submitted = counters_.submitted.load(std::memory_order_relaxed);
@@ -438,8 +367,6 @@ ServiceStatsSnapshot EstimationService::Stats() const {
       counters_.transient_faults.load(std::memory_order_relaxed);
   snap.no_retry_deadline =
       counters_.no_retry_deadline.load(std::memory_order_relaxed);
-  snap.no_retry_non_idempotent =
-      counters_.no_retry_non_idempotent.load(std::memory_order_relaxed);
   for (int i = 0; i < 3; ++i) {
     snap.mode_submissions[i] =
         counters_.mode_submissions[i].load(std::memory_order_relaxed);
@@ -450,10 +377,6 @@ ServiceStatsSnapshot EstimationService::Stats() const {
   snap.failed_swaps = publisher_.failed_swaps();
   snap.incoherent_snapshots =
       counters_.incoherent_snapshots.load(std::memory_order_relaxed);
-  snap.feedback_updates =
-      counters_.feedback_updates.load(std::memory_order_relaxed);
-  snap.feedback_failures =
-      counters_.feedback_failures.load(std::memory_order_relaxed);
   snap.latency_count = counters_.latency.count();
   snap.latency_total_seconds = counters_.latency.total_seconds();
   snap.latency_p50_seconds = counters_.latency.QuantileSeconds(0.5);

@@ -18,9 +18,8 @@
 //   retry             transient failures (a lookup fault unwinding an
 //                     attempt, a swap-window UNAVAILABLE) retry with
 //                     jittered exponential backoff, always inside the
-//                     caller's deadline; deterministic failures and
-//                     non-idempotent feedback updates never retry
-//                     (retry.h);
+//                     caller's deadline; deterministic failures never
+//                     retry (retry.h);
 //   degradation       a per-tenant circuit breaker steps estimates down
 //                     full GS → budget-capped GS → independence fallback
 //                     under sustained failures, and back up on recovery
@@ -36,8 +35,6 @@
 
 #pragma once
 
-#include <limits>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -48,7 +45,6 @@
 #include "condsel/common/rng.h"
 #include "condsel/common/status.h"
 #include "condsel/common/thread_annotations.h"
-#include "condsel/exec/evaluator.h"
 #include "condsel/query/query.h"
 #include "condsel/service/admission.h"
 #include "condsel/service/circuit_breaker.h"
@@ -63,41 +59,23 @@ struct ServiceOptions {
   AdmissionOptions admission;
   RetryPolicy retry;
   BreakerOptions breaker;
-  // Rung budgets of the degradation ladder. kFull runs `full_budget`
-  // (default: unlimited counts; per-attempt wall clock comes from the
-  // caller's deadline). kCapped runs `capped_budget`. kIndependence
-  // needs no budget: it forces the immediate-fallback search.
-  EstimationBudget full_budget;
-  EstimationBudget capped_budget{/*max_subproblems=*/64,
-                                 /*max_atomic_decompositions=*/512,
-                                 /*deadline_seconds=*/0.005};
-  // Whole-call deadline (queue wait + attempts + backoffs) applied when a
-  // Submit carries none. 0 = unlimited.
-  double default_deadline_seconds = 0.0;
-  // Cap on the admission-queue wait when the effective deadline is
-  // unlimited, so a shed decision is always reached.
+  // Cap on the admission-queue wait when the caller set no deadline, so a
+  // shed decision is always reached.
   double max_queue_wait_seconds = 0.05;
-  // In kFull mode, when an attempt's estimate came back deadline-degraded
-  // (budget_exhausted with no count caps armed) and the caller still has
-  // budget for another try, classify the attempt DEADLINE_EXCEEDED and
-  // retry instead of returning the degraded answer; if retries run out,
-  // the degraded estimate is still returned (graceful floor).
-  bool retry_degraded_full_estimates = true;
-  // Seed for the backoff jitter stream (deterministic tests).
-  uint64_t jitter_seed = 0x5e671ce5eedull;
 };
 
 struct SubmitOptions {
-  // Whole-call deadline in seconds; 0 falls back to the service default.
+  // Whole-call deadline (queue wait + attempts + backoffs) in seconds;
+  // 0 = unlimited.
   double deadline_seconds = 0.0;
 };
 
-// Maps an exception that unwound an estimation attempt (or a feedback
-// observation) to the Status the retry classifier sees: the library's
-// known-transient TransientFault becomes retryable UNAVAILABLE; any other
-// std::exception is a deterministic bug and becomes terminal INTERNAL —
-// replaying it would fail the same way while burning retry budget. `op`
-// names the operation for the status message.
+// Maps an exception that unwound an estimation attempt to the Status the
+// retry classifier sees: the library's known-transient TransientFault
+// becomes retryable UNAVAILABLE; any other std::exception is a
+// deterministic bug and becomes terminal INTERNAL — replaying it would
+// fail the same way while burning retry budget. `op` names the operation
+// for the status message.
 Status ClassifyAttemptException(const char* op, const std::exception& e);
 
 struct ServiceEstimate {
@@ -113,7 +91,6 @@ struct ServiceEstimate {
 class EstimationService {
  public:
   explicit EstimationService(ServiceOptions options = {});
-  ~EstimationService();
 
   EstimationService(const EstimationService&) = delete;
   EstimationService& operator=(const EstimationService&) = delete;
@@ -166,27 +143,12 @@ class EstimationService {
                  const std::vector<Query>& queries,
                  SubmitOptions options = {});
 
-  // Applies execution feedback (LEO-style observation) for `tenant` on
-  // the current epoch. NON-IDEMPOTENT: observations accumulate, so this
-  // path never retries — a transient failure surfaces as its Status and
-  // the no-retry decision is visible in telemetry. Feedback state is
-  // per-epoch; a Refresh starts the next epoch's state empty.
-  Status ObserveFeedback(const std::string& tenant, const Query& query);
-
-  // Learned feedback adjustment for `col` on the current epoch's state
-  // (1.0 when unobserved) — lets tests verify exactly-once application.
-  double FeedbackAdjustmentFor(ColumnRef col) const
-      CONDSEL_EXCLUDES(feedback_mu_);
-
   ServiceStatsSnapshot Stats() const;
 
   uint64_t current_epoch() const { return publisher_.current_epoch(); }
   size_t live_epochs() const { return publisher_.live_epochs(); }
-  const ServiceOptions& options() const { return options_; }
 
  private:
-  struct FeedbackState;
-
   // Budget for one attempt at `mode` with `remaining_seconds` of caller
   // budget left.
   EstimationBudget BudgetForMode(ServiceMode mode,
@@ -224,13 +186,6 @@ class EstimationService {
                                        "EstimationService::maintenance_mu_"};
   PartStatsMaintainer* maintainer_ CONDSEL_GUARDED_BY(maintenance_mu_) =
       nullptr;
-
-  // Per-epoch feedback state, built lazily on first observation.
-  // Outranked by jitter_mu_ and CardinalityCache::mu_: ObserveFeedback
-  // takes both while holding it.
-  mutable OrderedMutex feedback_mu_{lock_rank::kServiceFeedback,
-                                    "EstimationService::feedback_mu_"};
-  std::unique_ptr<FeedbackState> feedback_ CONDSEL_GUARDED_BY(feedback_mu_);
 };
 
 }  // namespace condsel

@@ -1,5 +1,6 @@
 #include "condsel/service/service_stats.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace condsel {
@@ -29,8 +30,8 @@ double LatencyRecorder::total_seconds() const {
 double LatencyRecorder::QuantileSeconds(double q) const {
   const uint64_t n = count_.load(std::memory_order_relaxed);
   if (n == 0) return 0.0;
-  const uint64_t rank =
-      q >= 1.0 ? n : static_cast<uint64_t>(q * static_cast<double>(n)) + 1;
+  const uint64_t rank = std::clamp<uint64_t>(
+      static_cast<uint64_t>(std::ceil(q * static_cast<double>(n))), 1, n);
   uint64_t seen = 0;
   for (int i = 0; i < kBuckets; ++i) {
     seen += buckets_[i].load(std::memory_order_relaxed);

@@ -28,8 +28,8 @@ class LatencyRecorder {
   uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   double total_seconds() const;
 
-  // Inclusive quantile (0 < q <= 1) as the upper edge of the bucket
-  // holding the q-th sample; 0 when nothing was recorded. Bucket edges
+  // Nearest-rank quantile (0 < q <= 1) as the upper edge of the bucket
+  // holding sample ceil(q*n); 0 when nothing was recorded. Bucket edges
   // double, so the estimate is within 2x of the true quantile — the
   // right fidelity for p50/p99 overload telemetry, at zero contention.
   double QuantileSeconds(double q) const;
@@ -57,8 +57,7 @@ struct ServiceStatsSnapshot {
   // Retry machinery.
   uint64_t retries = 0;
   uint64_t transient_faults = 0;  // attempts that failed retryably
-  uint64_t no_retry_deadline = 0;      // retry denied: deadline exhausted
-  uint64_t no_retry_non_idempotent = 0;  // retry denied: feedback path
+  uint64_t no_retry_deadline = 0;  // retry denied: deadline exhausted
   // Degradation ladder.
   uint64_t mode_submissions[3] = {0, 0, 0};  // indexed by ServiceMode
   uint64_t step_downs = 0;
@@ -67,9 +66,6 @@ struct ServiceStatsSnapshot {
   uint64_t epochs_published = 0;
   uint64_t failed_swaps = 0;
   uint64_t incoherent_snapshots = 0;  // torn-publication detector hits
-  // Feedback path.
-  uint64_t feedback_updates = 0;
-  uint64_t feedback_failures = 0;
   // Latency (seconds).
   uint64_t latency_count = 0;
   double latency_total_seconds = 0.0;
@@ -90,11 +86,8 @@ struct ServiceCounters {
   std::atomic<uint64_t> retries{0};
   std::atomic<uint64_t> transient_faults{0};
   std::atomic<uint64_t> no_retry_deadline{0};
-  std::atomic<uint64_t> no_retry_non_idempotent{0};
   std::atomic<uint64_t> mode_submissions[3] = {};
   std::atomic<uint64_t> incoherent_snapshots{0};
-  std::atomic<uint64_t> feedback_updates{0};
-  std::atomic<uint64_t> feedback_failures{0};
   LatencyRecorder latency;
 };
 

@@ -15,8 +15,9 @@
 // ever wait on — while epoch_mu_ guards just the epoch counter, the
 // retirement ledger, and the pointer swap. No blocking work (allocation of
 // table data, statistics builds, sleeps, estimation) is ever done under
-// epoch_mu_; condsel_lint's no-blocking-under-epoch-lock rule enforces
-// this, because one slow refresh holding the epoch lock would stall every
+// epoch_mu_; condsel_model's blocking-reachable check enforces this
+// (epoch_mu_ is the manifest's acquire-path lock), because one slow
+// refresh holding the epoch lock would stall every
 // session's acquire path — the exact overload-amplification failure the
 // service exists to prevent.
 

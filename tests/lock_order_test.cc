@@ -239,9 +239,6 @@ TEST_F(LockOrderSoakTest, StormTripsNoOrderViolation) {
         submit.deadline_seconds = i % 2 == 0 ? 0.05 : 0.0;
         (void)service.Submit(tenant, q, submit);
       }
-      // Feedback exercises feedback_mu_ -> jitter_mu_ and
-      // feedback_mu_ -> CardinalityCache::mu_ nesting.
-      (void)service.ObserveFeedback(tenant, workload_[t % workload_.size()]);
     });
   }
 

@@ -2,8 +2,8 @@
 //
 // Covers, table-driven where the behaviour is a decision table:
 //  - retry classification and jittered backoff (deadline exhaustion never
-//    retries, non-idempotent requests never retry, jitter stays inside its
-//    configured bounds, the stream is deterministic per seed);
+//    retries, jitter stays inside its bounds, the stream is deterministic
+//    per seed);
 //  - token-bucket quotas and bounded-queue admission (every rejection is
 //    an explicit outcome, never an unbounded wait);
 //  - the hysteretic circuit-breaker ladder;
@@ -11,8 +11,8 @@
 //  - snapshot epochs: pinning, refcount-driven retirement, failed swaps;
 //  - the service facade end to end: bit-identity with a direct Estimator,
 //    exact search books (one search per attempt), fault-driven retries,
-//    degradation rungs, quota accounting, and the exactly-once
-//    non-retried feedback path.
+//    degradation rungs and the capped rung's budget, and quota
+//    accounting.
 
 #include <gtest/gtest.h>
 
@@ -28,6 +28,8 @@
 #include "condsel/catalog/part_stats.h"
 #include "condsel/common/fault_injector.h"
 #include "condsel/common/rng.h"
+#include "condsel/datagen/snowflake.h"
+#include "condsel/datagen/workload.h"
 #include "condsel/service/admission.h"
 #include "condsel/service/circuit_breaker.h"
 #include "condsel/service/retry.h"
@@ -79,35 +81,30 @@ TEST(RetryTest, DecideRetryTable) {
     const char* name;
     StatusCode code;
     int attempt;
-    bool idempotent;
     double remaining;
     bool expect_retry;
     const char* expect_reason_substr;
   };
   const Case kCases[] = {
-      {"transient retries", StatusCode::kUnavailable, 1, true, kInf, true,
-       ""},
+      {"transient retries", StatusCode::kUnavailable, 1, kInf, true, ""},
       {"deadline with budget left retries", StatusCode::kDeadlineExceeded, 1,
-       true, 10.0, true, ""},
-      {"attempt limit is hard", StatusCode::kUnavailable, 3, true, kInf,
-       false, "attempt limit"},
-      {"non-idempotent never retries", StatusCode::kUnavailable, 1, false,
-       kInf, false, "non-idempotent"},
-      {"terminal code never retries", StatusCode::kInvalidArgument, 1, true,
-       kInf, false, ""},
-      {"overload never retries", StatusCode::kRejectedOverload, 1, true,
-       kInf, false, ""},
-      {"exhausted deadline never retries", StatusCode::kUnavailable, 1, true,
-       0.0, false, "deadline exhausted"},
+       10.0, true, ""},
+      {"attempt limit is hard", StatusCode::kUnavailable, 3, kInf, false,
+       "attempt limit"},
+      {"terminal code never retries", StatusCode::kInvalidArgument, 1, kInf,
+       false, ""},
+      {"overload never retries", StatusCode::kRejectedOverload, 1, kInf,
+       false, ""},
+      {"exhausted deadline never retries", StatusCode::kUnavailable, 1, 0.0,
+       false, "deadline exhausted"},
       {"deadline smaller than backoff never retries",
-       StatusCode::kDeadlineExceeded, 1, true, 1e-9, false,
-       "deadline exhausted"},
+       StatusCode::kDeadlineExceeded, 1, 1e-9, false, "deadline exhausted"},
   };
   const RetryPolicy policy;
   for (const Case& c : kCases) {
     Rng rng(99);
-    const RetryDecision d = DecideRetry(policy, c.code, c.attempt,
-                                        c.idempotent, c.remaining, &rng);
+    const RetryDecision d =
+        DecideRetry(policy, c.code, c.attempt, c.remaining, &rng);
     EXPECT_EQ(d.retry, c.expect_retry) << c.name;
     if (c.expect_reason_substr[0] != '\0') {
       EXPECT_NE(std::strstr(d.reason, c.expect_reason_substr), nullptr)
@@ -127,9 +124,8 @@ TEST(RetryTest, DeadlineExhaustionNeverRetriesAtAnyAttempt) {
   for (int attempt = 1; attempt < policy.max_attempts; ++attempt) {
     for (double remaining : {0.0, 1e-12, 1e-6}) {
       Rng rng(7);
-      const RetryDecision d =
-          DecideRetry(policy, StatusCode::kUnavailable, attempt,
-                      /*idempotent=*/true, remaining, &rng);
+      const RetryDecision d = DecideRetry(policy, StatusCode::kUnavailable,
+                                          attempt, remaining, &rng);
       EXPECT_FALSE(d.retry) << "attempt " << attempt << " remaining "
                             << remaining;
     }
@@ -139,18 +135,16 @@ TEST(RetryTest, DeadlineExhaustionNeverRetriesAtAnyAttempt) {
 TEST(RetryTest, JitterStaysInsideConfiguredBounds) {
   RetryPolicy policy;
   policy.initial_backoff_seconds = 1e-3;
-  policy.backoff_multiplier = 2.0;
   policy.max_backoff_seconds = 1.0;  // out of the way for attempts 1..5
-  policy.jitter_fraction = 0.2;
   Rng rng(12345);
   for (int attempt = 1; attempt <= 5; ++attempt) {
     const double base = policy.initial_backoff_seconds *
-                        std::pow(policy.backoff_multiplier, attempt - 1);
+                        std::pow(kBackoffMultiplier, attempt - 1);
     double lo_seen = 1e9, hi_seen = 0.0;
     for (int i = 0; i < 1000; ++i) {
       const double b = BackoffSeconds(policy, attempt, &rng);
-      EXPECT_GE(b, base * (1.0 - policy.jitter_fraction));
-      EXPECT_LE(b, base * (1.0 + policy.jitter_fraction));
+      EXPECT_GE(b, base * (1.0 - kJitterFraction));
+      EXPECT_LE(b, base * (1.0 + kJitterFraction));
       lo_seen = std::min(lo_seen, b);
       hi_seen = std::max(hi_seen, b);
     }
@@ -163,7 +157,6 @@ TEST(RetryTest, BackoffCapIsHardEvenAfterJitter) {
   RetryPolicy policy;
   policy.initial_backoff_seconds = 1e-3;
   policy.max_backoff_seconds = 4e-3;
-  policy.jitter_fraction = 0.5;
   Rng rng(5);
   for (int attempt = 1; attempt <= 10; ++attempt) {
     for (int i = 0; i < 200; ++i) {
@@ -442,8 +435,19 @@ TEST(LatencyRecorderTest, QuantilesLandInTheRightBucket) {
   EXPECT_NEAR(rec.total_seconds(), 0.199, 1e-9);
   // 1ms lives in bucket [512us, 1024us) -> upper edge 1.024ms.
   EXPECT_DOUBLE_EQ(rec.QuantileSeconds(0.5), 1024e-6);
-  // The p99 sample is the 100ms outlier: bucket upper edge 2^17 us.
-  EXPECT_DOUBLE_EQ(rec.QuantileSeconds(0.99), std::ldexp(1.0, 17) * 1e-6);
+  // 99% of the samples are 1ms: the p99 (rank 99 of 100) is one of them.
+  EXPECT_DOUBLE_EQ(rec.QuantileSeconds(0.99), 1024e-6);
+  // The 100ms outlier is the maximum: bucket upper edge 2^17 us.
+  EXPECT_DOUBLE_EQ(rec.QuantileSeconds(1.0), std::ldexp(1.0, 17) * 1e-6);
+}
+
+TEST(LatencyRecorderTest, NearestRankOnExactMultiples) {
+  LatencyRecorder rec;
+  rec.Record(3e-6);    // bucket [2us, 4us)
+  rec.Record(300e-6);  // bucket [256us, 512us)
+  // Nearest rank: the p50 of two samples is the first, ceil(0.5 * 2) = 1.
+  EXPECT_DOUBLE_EQ(rec.QuantileSeconds(0.5), 4e-6);
+  EXPECT_DOUBLE_EQ(rec.QuantileSeconds(1.0), 512e-6);
 }
 
 // ---------------------------------------------------------------------------
@@ -688,6 +692,50 @@ TEST_F(ServiceTest, IndependenceRungAlwaysAnswers) {
   EXPECT_LE(r.value().selectivity, 1.0);
 }
 
+// The kCapped rung must actually cap the search: on a query whose full
+// search books more memo entries than the cap, the capped attempt stops at
+// the cap and reports the estimate degraded.
+TEST_F(ServiceTest, CappedRungSpendsAtMostTheCappedBudget) {
+  constexpr uint64_t kCappedSubproblems = 64;
+  SnowflakeOptions sopt;
+  sopt.scale = 0.01;
+  const Catalog catalog = BuildSnowflake(sopt);
+  CardinalityCache cache;
+  Evaluator eval(&catalog, &cache);
+  WorkloadOptions wopt;
+  wopt.num_queries = 1;
+  wopt.num_joins = 5;
+  wopt.num_filters = 4;
+  wopt.seed = 7;
+  const std::vector<Query> wide = GenerateWorkload(catalog, &eval, wopt);
+  ASSERT_EQ(wide.size(), 1u);
+  const SitBuilder builder(&eval, SitBuildOptions{});
+  const SitPool pool = GenerateSitPool(wide, 2, builder);
+
+  ServiceOptions options;
+  options.retry.max_attempts = 1;  // one failed Submit == one breaker strike
+  options.breaker.open_after = 1;
+  EstimationService service(options);
+  ASSERT_TRUE(service.Refresh(catalog, pool).ok());
+
+  const StatusOr<ServiceEstimate> full = service.Submit("t", wide[0]);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  ASSERT_EQ(full.value().mode, ServiceMode::kFull);
+  const uint64_t full_subproblems = service.Stats().search.subproblems;
+  ASSERT_GT(full_subproblems, kCappedSubproblems);
+
+  {
+    const ScopedFault fault(Fault::kThrowAtomicLookup);
+    StatusIgnored(service.Submit("t", wide[0]));  // strike 1: -> kCapped
+  }
+  const uint64_t before = service.Stats().search.subproblems;
+  const StatusOr<ServiceEstimate> capped = service.Submit("t", wide[0]);
+  ASSERT_TRUE(capped.ok()) << capped.status().ToString();
+  EXPECT_EQ(capped.value().mode, ServiceMode::kCapped);
+  EXPECT_TRUE(capped.value().degraded);
+  EXPECT_LE(service.Stats().search.subproblems - before, kCappedSubproblems);
+}
+
 TEST_F(ServiceTest, TenantQuotaRejectionIsCounted) {
   ServiceOptions options;
   options.admission.tenant_rate_per_second = 1e-9;  // one-shot burst of 1
@@ -736,34 +784,6 @@ TEST_F(ServiceTest, RefreshRotatesEpochsUnderSubmits) {
   // Identical statistics under a new epoch: identical bits.
   EXPECT_EQ(before.value().selectivity, after.value().selectivity);
   EXPECT_EQ(service.Stats().epochs_published, 2u);
-}
-
-TEST_F(ServiceTest, FeedbackAppliesOnceAndNeverRetries) {
-  EstimationService service;
-  EXPECT_EQ(service.ObserveFeedback("t", query_).code(),
-            StatusCode::kFailedPrecondition);
-  ASSERT_TRUE(service.Refresh(catalog_, pool_).ok());
-
-  EXPECT_DOUBLE_EQ(service.FeedbackAdjustmentFor(Ra()), 1.0);
-  ASSERT_TRUE(service.ObserveFeedback("t", query_).ok());
-  const double adjustment = service.FeedbackAdjustmentFor(Ra());
-  EXPECT_NE(adjustment, 1.0);  // the observation trained the column
-
-  // A transient fault on the non-idempotent path surfaces, is counted,
-  // and is never retried.
-  {
-    const ScopedFault fault(Fault::kThrowAtomicLookup);
-    const Status s = service.ObserveFeedback("t", query_);
-    EXPECT_EQ(s.code(), StatusCode::kUnavailable);
-  }
-  const ServiceStatsSnapshot stats = service.Stats();
-  EXPECT_EQ(stats.feedback_updates, 1u);
-  EXPECT_EQ(stats.feedback_failures, 1u);
-  EXPECT_EQ(stats.no_retry_non_idempotent, 1u);
-
-  // Feedback state is per-epoch: a refresh starts the next epoch clean.
-  ASSERT_TRUE(service.Refresh(catalog_, pool_).ok());
-  EXPECT_DOUBLE_EQ(service.FeedbackAdjustmentFor(Ra()), 1.0);
 }
 
 TEST_F(ServiceTest, MalformedQueryIsTerminal) {

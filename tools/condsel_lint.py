@@ -37,18 +37,6 @@ comment on the same or the preceding line):
                         `(void)` cast. Intentional discards use the
                         grep-able StatusIgnored() sink (status.h) with an
                         explicit allow.
-  guarded-by-coverage   in a library header, data members declared after a
-                        mutex member (std::mutex or condsel::OrderedMutex)
-                        must either carry a CONDSEL_GUARDED_BY /
-                        CONDSEL_PT_GUARDED_BY annotation or be
-                        synchronization-free by type (std::atomic, another
-                        mutex); in a library .cc, the same contract holds
-                        for file-/function-scope statics following a
-                        static mutex. The checker is shared with
-                        condsel_model (cpp_model_common), so the two tools
-                        cannot disagree about what "guarded" means.
-                        Unannotated mutable state next to a mutex is where
-                        thread-safety claims silently rot.
   no-raw-histogram-lookup
                         estimator code (src/condsel/{selectivity,baselines,
                         optimizer}/) must not call the histogram selectivity
@@ -82,18 +70,9 @@ comment on the same or the preceding line):
                         ArenaVector from a function — copy values out
                         instead. arena.h itself (the primitives) is
                         exempt.
-  no-blocking-under-epoch-lock
-                        library code holding a lock on an `*epoch_mu*`
-                        mutex must not block while it is held: no sleeps,
-                        condition-variable waits, thread joins, snapshot
-                        construction (make_shared/make_unique), or
-                        estimation entry points (Compute/TryEstimate*/
-                        Submit/Publish/Refresh). The epoch lock guards
-                        only the epoch counter, the retirement ledger,
-                        and the pointer swap — every session's Acquire
-                        path is wait-free exactly because nothing slow
-                        ever runs under it. Build the snapshot first,
-                        then take the lock to swap it in.
+
+Concurrency contracts (guarded fields, blocking under the snapshot acquire
+path) are checked by condsel_model, not here.
 
 Usage:
   condsel_lint.py [--root REPO]      lint the repository (exit 1 on findings)
@@ -260,22 +239,6 @@ def check_nodiscard_status(path: str, text: str,
             path, i + 1, "nodiscard-status",
             "`(void)` cast launders a [[nodiscard]] Status; handle it or "
             "discard explicitly with StatusIgnored()"))
-    return findings
-
-
-def check_guarded_by(path: str, text: str, lines: list[str]) -> list[Finding]:
-    """Header members after a mutex member, and .cc statics after a static
-    mutex, must be annotated. The checker itself lives in cpp_model_common
-    so condsel_model's guarded-field check cannot drift from this rule."""
-    if not path.startswith("src/"):
-        return []
-    findings = []
-    for lineno, message in cm.guarded_field_findings(
-            path, lines,
-            lambda idx, rule: _allowed(lines, idx, rule),
-            "guarded-by-coverage"):
-        findings.append(
-            Finding(path, lineno, "guarded-by-coverage", message))
     return findings
 
 
@@ -452,38 +415,6 @@ def check_arena_no_escape(path: str, text: str,
     return findings
 
 
-# Shared with condsel_model, which generalizes this rule to every lock
-# the epoch lock can nest under (blocking-reachable).
-EPOCH_LOCK_RE = cm.EPOCH_LOCK_RE
-EPOCH_BLOCKING_RE = cm.BLOCKING_CALL_RE
-
-
-def check_epoch_lock_blocking(path: str, text: str,
-                              lines: list[str]) -> list[Finding]:
-    if not path.startswith("src/"):
-        return []
-    findings = []
-    depth = 0
-    # Depths at which an epoch lock is currently held; the lock dies when
-    # its enclosing scope closes (depth drops below the acquisition depth).
-    held_at: list[int] = []
-    for i, line in enumerate(lines):
-        code = line.split("//")[0]
-        if held_at and EPOCH_BLOCKING_RE.search(code):
-            if not _allowed(lines, i, "no-blocking-under-epoch-lock"):
-                findings.append(Finding(
-                    path, i + 1, "no-blocking-under-epoch-lock",
-                    "blocking call while an *epoch_mu* lock is held; the "
-                    "epoch lock covers only the counter, the ledger, and "
-                    "the pointer swap — construct/sleep/estimate outside "
-                    "it, then lock to swap"))
-        if EPOCH_LOCK_RE.search(code):
-            held_at.append(depth)
-        depth += code.count("{") - code.count("}")
-        held_at = [d for d in held_at if depth >= d]
-    return findings
-
-
 RULES = [
     check_pragma_once,
     check_using_namespace,
@@ -491,11 +422,9 @@ RULES = [
     check_includes,
     check_no_abort,
     check_nodiscard_status,
-    check_guarded_by,
     check_status_switch,
     check_raw_histogram_lookup,
     check_raw_set_deadline,
-    check_epoch_lock_blocking,
     check_arena_no_escape,
 ]
 

@@ -12,8 +12,7 @@ counter blocks — and checks the *relations* between them:
                       deadlock waiting for the right interleaving.
   rank-order          an acquisition edge contradicts the ranks declared
                       in tools/lock_order.toml (outer lock must have the
-                      strictly smaller rank; equal ranks only for `pair`
-                      families, which order by address at runtime).
+                      strictly smaller rank).
   manifest-sync       tools/lock_order.toml, common/lock_ranks.h, and the
                       OrderedMutex construction sites disagree — a rank
                       the runtime checker enforces must be the rank the
@@ -21,15 +20,12 @@ counter blocks — and checks the *relations* between them:
   blocking-reachable  a blocking call (sleep, condition wait, allocation
                       of snapshot-sized state, estimation entry points)
                       runs while holding a mutex from which an
-                      `acquire_path` lock is reachable in the lock graph.
-                      This generalizes condsel_lint's single-purpose
-                      no-blocking-under-epoch-lock rule: holding any such
-                      mutex can stall the session acquire path
-                      transitively.
+                      `acquire_path` lock is reachable in the lock graph:
+                      holding any such mutex can stall the session
+                      acquire path transitively.
   guarded-field       mutable state declared after a mutex at the same
-                      scope without a CONDSEL_GUARDED_BY annotation
-                      (shared with condsel_lint's guarded-by-coverage —
-                      both tools call the same cpp_model_common checker).
+                      scope without a CONDSEL_GUARDED_BY annotation (in a
+                      .cc: a static after a static mutex).
   fault-census        a Fault enumerator in fault_injector.h is tripped
                       by no test in tests/*.cc: an untested failure edge
                       is an untrusted failure edge. Also verifies the
@@ -39,9 +35,7 @@ counter blocks — and checks the *relations* between them:
                       regresses silently.
 
 Sites can be suppressed with `condsel-model: allow(<check>)` on the same
-or preceding line; `condsel-lint: allow(guarded-by-coverage)` also
-suppresses guarded-field, so the two tools cannot disagree about a
-justified exception.
+or preceding line.
 
 Usage:
   condsel_model.py [--root DIR] [--dot FILE] [--max-seconds N]
@@ -74,7 +68,6 @@ class MutexNode:
         self.file = file
         self.line = line
         self.rank = None      # from the manifest, when listed there
-        self.pair = False
         self.acquire_path = False
         self.rank_const = None  # lock_rank:: constant at the decl site
 
@@ -459,8 +452,7 @@ def check_manifest_sync(model, manifest, manifest_path, rank_consts):
             out.append(Finding(
                 "manifest-sync", manifest_path, 0,
                 f'rank {rank} assigned to both "{ranks_seen[rank]}" and '
-                f'"{name}" (ranks are unique; instances of one family '
-                "share a single `pair` entry)"))
+                f'"{name}" (ranks are unique)'))
         ranks_seen[rank] = name
         if rank_consts is not None:
             if const not in rank_consts:
@@ -478,7 +470,6 @@ def check_manifest_sync(model, manifest, manifest_path, rank_consts):
         node = model.nodes.get(name)
         if node is not None:
             node.rank = rank
-            node.pair = bool(e.get("pair", False))
             node.acquire_path = bool(e.get("acquire_path", False))
 
     site_labels = set()
@@ -513,13 +504,9 @@ def check_lock_cycle(model):
     adj = {}
     for e in model.edges:
         if e.src == e.dst:
-            node = model.nodes.get(e.src)
-            if node is not None and node.pair:
-                continue  # same-rank family; runtime orders by address
             out.append(Finding(
                 "lock-cycle", e.file, e.line,
-                f'"{e.src}" acquired while already held '
-                "(self-deadlock unless this is a `pair` family)"))
+                f'"{e.src}" acquired while already held (self-deadlock)'))
             continue
         adj.setdefault(e.src, []).append(e)
 
@@ -574,7 +561,7 @@ def check_rank_order(model):
         if src.rank is None or dst.rank is None:
             continue
         if e.src == e.dst:
-            continue  # pair families handled by lock-cycle
+            continue  # reported by lock-cycle
         if src.rank >= dst.rank:
             via = f" via {e.via}()" if e.via else ""
             out.append(Finding(
@@ -620,16 +607,8 @@ def check_guarded_field(root):
     for path in cm.iter_source_files(root):
         with open(path, encoding="utf-8", errors="replace") as f:
             lines = f.read().splitlines()
-        allowed_model = cm.make_allowed(
+        allowed = cm.make_allowed(
             lines, [cm.LINT_ALLOW_RE, cm.MODEL_ALLOW_RE])
-
-        def allowed(idx, rule):
-            # A lint-side guarded-by-coverage allow also silences the
-            # model's guarded-field check: one justified exception, not
-            # two disagreeing tools.
-            return (allowed_model(idx, rule)
-                    or allowed_model(idx, "guarded-by-coverage"))
-
         for lineno, message in cm.guarded_field_findings(
                 path, lines, allowed, "guarded-field"):
             out.append(Finding("guarded-field", path, lineno, message))

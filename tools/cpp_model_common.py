@@ -1,13 +1,12 @@
 #!/usr/bin/env python3
 """cpp_model_common — the one copy of every C++-shape regex shared by
-condsel_lint.py (line-level rules) and condsel_model.py (the project
-model / lock-graph analyzer).
+condsel_lint.py (line-level rules), condsel_model.py (the project model /
+lock-graph analyzer) and condsel_flow.py (dataflow contracts).
 
-Both tools reason about the same surface syntax — mutex declarations,
-GUARDED_BY annotations, lock-guard acquisition sites, blocking calls —
-and PR 7 deliberately routes those regexes through this module so the
-two tools cannot drift apart: a mutex shape condsel_model inventories is
-by construction the same shape condsel_lint's guarded-by rule keys on.
+The analyzers reason about the same surface syntax — source-tree shape,
+suppression markers, mutex declarations, GUARDED_BY annotations,
+lock-guard acquisition sites, blocking calls, function inventories — so
+those regexes live here once and the tools cannot drift apart.
 
 Run `cpp_model_common.py --self-test` to validate every exported regex
 and helper against an embedded corpus of positive/negative examples.
@@ -174,9 +173,9 @@ def mutex_expr_name(expr: str) -> str | None:
 
 
 # --------------------------------------------------------------------------
-# Blocking calls. None of these may run while a mutex on the snapshot
-# acquire path is held (condsel_lint's no-blocking-under-epoch-lock rule,
-# generalized to graph reachability by condsel_model).
+# Blocking calls. None of these may run while holding a mutex from which
+# the snapshot acquire path is reachable (condsel_model's
+# blocking-reachable check).
 
 BLOCKING_CALL_RE = re.compile(
     r"\b(?:sleep_for|sleep_until|wait_for|wait_until|"
@@ -184,13 +183,6 @@ BLOCKING_CALL_RE = re.compile(
     r"Compute|TryEstimate\w*|Submit|Publish|Refresh)\s*"
     r"(?:<[^()]*>)?\s*\(|"
     r"\.\s*(?:wait|join)\s*\(")
-
-# The epoch-lock acquisition shape condsel_lint's single-purpose rule
-# keys on (kept alongside the graph check: the lint rule runs even on
-# trees where the model's manifest is absent).
-EPOCH_LOCK_RE = re.compile(
-    r"\bstd::(?:lock_guard|unique_lock|scoped_lock)\s*<[^>]*>\s*"
-    r"\w+\s*[({][^)}]*epoch_mu[^)}]*[)}]")
 
 
 # --------------------------------------------------------------------------
@@ -778,12 +770,12 @@ def _t_allowed():
     lines = [
         "// condsel-model: allow(lock-cycle)",
         "code here",
-        "other code  // condsel-lint: allow(guarded-by-coverage)",
+        "other code  // condsel-lint: allow(include-hygiene)",
     ]
     allowed = make_allowed(lines, [LINT_ALLOW_RE, MODEL_ALLOW_RE])
     assert allowed(1, "lock-cycle")
-    assert allowed(2, "guarded-by-coverage")
-    assert not allowed(1, "guarded-by-coverage")
+    assert allowed(2, "include-hygiene")
+    assert not allowed(1, "include-hygiene")
 
 
 _PARSE_CORPUS = """
