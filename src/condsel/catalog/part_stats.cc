@@ -9,7 +9,6 @@
 #include "condsel/common/fault_injector.h"
 #include "condsel/common/macros.h"
 #include "condsel/histogram/histogram_merge.h"
-#include "condsel/query/join_graph.h"
 
 namespace condsel {
 
@@ -39,59 +38,6 @@ bool PieceSane(const Histogram& h) {
 }
 
 }  // namespace
-
-bool SitSpec::References(TableId t) const {
-  for (const Predicate& p : expression) {
-    for (const ColumnRef& c : p.attrs()) {
-      if (c.table == t) return true;
-    }
-  }
-  return false;
-}
-
-std::vector<SitSpec> EnumerateSitSpecs(const std::vector<Query>& workload,
-                                       int max_join_preds) {
-  // Mirrors GenerateSitPool exactly (sit_pool.cc): base histograms over
-  // the sorted referenced-column set, then per canonical expression in
-  // map order, attributes in sorted order. Keeping the two in lockstep is
-  // what makes merged-pool SitIds line up with GenerateSitPool's.
-  std::vector<SitSpec> specs;
-
-  std::set<ColumnRef> columns;
-  for (const Query& q : workload) {
-    for (const Predicate& p : q.predicates()) {
-      for (const ColumnRef& c : p.attrs()) columns.insert(c);
-    }
-  }
-  for (const ColumnRef& c : columns) {
-    specs.push_back(SitSpec{c, {}});
-  }
-  if (max_join_preds == 0) return specs;
-
-  std::map<std::vector<Predicate>, std::set<ColumnRef>> wanted;
-  for (const Query& q : workload) {
-    std::vector<ColumnRef> filter_attrs;
-    for (int i : SetElements(q.filter_predicates())) {
-      filter_attrs.push_back(q.predicate(i).column());
-    }
-    for (PredSet joins : ConnectedSubsets(q.predicates(),
-                                          q.join_predicates(),
-                                          max_join_preds)) {
-      const TableSet joined = q.TablesOfSubset(joins);
-      const std::vector<Predicate> expr = q.CanonicalSubset(joins);
-      for (const ColumnRef& a : filter_attrs) {
-        if (!Contains(joined, a.table)) continue;
-        wanted[expr].insert(a);
-      }
-    }
-  }
-  for (const auto& [expr, attr_set] : wanted) {
-    for (const ColumnRef& a : attr_set) {
-      specs.push_back(SitSpec{a, expr});
-    }
-  }
-  return specs;
-}
 
 void PartStatsSet::SetSpecs(std::vector<SitSpec> specs) {
   specs_ = std::move(specs);

@@ -7,11 +7,10 @@
 // with SitBuilder::BuildForRange sum to the global statistic. This file
 // holds the three layers of the partitioned scheme:
 //
-//  - SitSpec / EnumerateSitSpecs: the *shape* of a statistics pool —
-//    which (attribute | expression) pairs exist — enumerated in exactly
-//    the order GenerateSitPool adds SITs, so merged pools assign the same
-//    SitId to the same statistic and single-part databases stay
-//    bit-identical to the unpartitioned path.
+//  - the pool's *shape*: the SitSpec list EnumerateSitSpecs
+//    (sit/sit_pool.h) yields — the same list GenerateSitPool builds from,
+//    so merged pools assign the same SitId to the same statistic and
+//    single-part databases stay bit-identical to the unpartitioned path.
 //
 //  - PartStatsEntry / PartStatsSet: the stored per-part pieces, stamped
 //    with the owning part's generation. BuildMergedPool folds them into a
@@ -44,31 +43,6 @@
 #include "condsel/storage/part.h"
 
 namespace condsel {
-
-// The identity of one statistic: SIT_{attr.table}(attr | expression),
-// with the canonical (sorted) expression; empty = base histogram. The
-// owning table — the one whose parts partition the pieces — is always
-// attr.table.
-struct SitSpec {
-  ColumnRef attr;
-  std::vector<Predicate> expression;
-
-  TableId owner() const { return attr.table; }
-  // True if the expression references `t` (the owner is referenced by
-  // definition only when some predicate mentions it; base specs reference
-  // nothing beyond the owner).
-  bool References(TableId t) const;
-
-  friend bool operator==(const SitSpec&, const SitSpec&) = default;
-};
-
-// The specs GenerateSitPool would build for this workload, in the exact
-// order it adds them (base histograms over the sorted column set first,
-// then per canonical expression in map order, attributes sorted). The
-// returned list is duplicate-free, so BuildMergedPool's sequential Add
-// assigns SitId == spec index.
-std::vector<SitSpec> EnumerateSitSpecs(const std::vector<Query>& workload,
-                                       int max_join_preds);
 
 // Pieces of every spec owned by `table`, for one part. `pieces[i]` and
 // `diffs[i]` align with PartStatsSet::SpecsOwnedBy(table)[i]. The

@@ -1,12 +1,11 @@
 // Monotonic bump allocator backing the per-Compute hot path.
 //
 // One Arena lives inside each GetSelectivity instance and is Reset() at
-// the top of every Compute() call: decomposer candidate lists, driver
-// plan storage, and merge scratch bump-allocate out of it instead of
-// hitting the global heap per subset. Blocks are retained across Reset(),
-// so a warmed-up estimator reaches a steady state of zero heap
-// allocations per estimate — the BENCH_*.json `allocs_per_estimate`
-// metric this design targets.
+// the top of every Compute() call: the decomposer's per-subset candidate
+// lists bump-allocate out of it instead of hitting the global heap.
+// Blocks are retained across Reset(), so a warmed-up estimator reaches a
+// steady state of zero heap allocations per estimate — the BENCH_*.json
+// `allocs_per_estimate` metric this design targets.
 //
 // Lifetime rule (lint-enforced as `arena-no-escape`): memory obtained
 // from an arena is scratch for the Compute() that allocated it. Nothing

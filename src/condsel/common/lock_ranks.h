@@ -4,17 +4,22 @@
 // constructed with one of these constants. The rule: a thread may only
 // acquire a mutex whose (rank, address) pair is lexicographically greater
 // than that of the last mutex it already holds — lower ranks are outer,
-// higher ranks are inner. Every manifest entry has a rank of its own:
-// the address tie-break only orders two instances of one class, and
+// higher ranks are inner. Every constant ranks exactly one mutex: the
+// address tie-break only orders two instances of one class, and
 // condsel_model reports any nesting of a mutex inside itself as a
 // lock-cycle.
 //
-// This table is mirrored by tools/lock_order.toml; tools/condsel_model.py
-// fails the build if the two drift apart or if any acquisition edge in
-// the source contradicts the order declared here. To add a mutex: pick a
-// rank consistent with every path that nests it, add the constant here,
-// add a [[mutex]] entry to tools/lock_order.toml, and construct the
-// OrderedMutex with both.
+// This table is the one declaration of the lock order. Each
+// OrderedMutex construction site binds its label to one of these
+// constants, and tools/condsel_model.py reads the ranks from here: it
+// fails the build if a site names a constant this file lacks, if a
+// constant is named by no site or by several, if two constants share a
+// rank, or if any acquisition edge in the source contradicts the order.
+// A `condsel: acquire-path` comment marks the lock sessions take to
+// acquire a snapshot; nothing may block while holding a mutex from which
+// it is reachable. To add a mutex: pick a rank consistent with every
+// path that nests it, add the constant here, and construct the
+// OrderedMutex with it and its "Class::member" label.
 
 #pragma once
 
@@ -30,9 +35,9 @@ inline constexpr int kPartMaintenance = 15;
 // service/: snapshot refresh serialization; holds while building the
 // next epoch (sanctioned blocking, see snapshot.cc).
 inline constexpr int kSnapshotRefresh = 20;
-// service/: epoch ledger; innermost of the snapshot pair and the
-// designated "acquire path" lock of the blocking-reachability check.
-inline constexpr int kSnapshotEpoch = 30;
+// service/: epoch ledger and current-snapshot handle; innermost of the
+// snapshot pair and the lock every session's Acquire() takes.
+inline constexpr int kSnapshotEpoch = 30;  // condsel: acquire-path
 // service/: backoff jitter stream.
 inline constexpr int kServiceJitter = 50;
 // service/: per-tenant circuit breaker ladder.

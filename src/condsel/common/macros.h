@@ -37,7 +37,7 @@
 #endif
 
 // Marks a function as part of the estimation hot path: the memo,
-// decomposer, parallel-driver, and provider inner loops that run once per
+// decomposer, DP-driver, and provider inner loops that run once per
 // subproblem. Semantically a no-op — it expands to nothing — but
 // tools/condsel_flow.py keys its hot-path-alloc check on the annotation:
 // every heap-allocation site reachable from a CONDSEL_HOT function must be

@@ -86,7 +86,7 @@ void NoteAcquire(const void* addr, int rank, const char* name) {
       std::snprintf(msg, sizeof(msg),
                     "lock-order violation: acquiring \"%s\" (rank %d) "
                     "while holding \"%s\" (rank %d); see "
-                    "tools/lock_order.toml",
+                    "common/lock_ranks.h",
                     name, rank, top.name, top.rank);
       CONDSEL_CHECK_MSG(false, msg);
     }

@@ -3,14 +3,13 @@
 //
 // OrderedMutex / OrderedSharedMutex behave exactly like std::mutex /
 // std::shared_mutex, but each instance carries a rank from
-// common/lock_ranks.h and a name matching its tools/lock_order.toml
-// manifest entry. When enforcement is on, every acquisition is checked
-// against a thread-local stack of held locks: the new lock's
-// (rank, address) must be lexicographically greater than the top of the
-// stack. A violation aborts with both mutex names and ranks — turning a
-// would-be deadlock that TSan can only catch when two threads actually
-// interleave into a deterministic failure on any single-threaded
-// traversal of the bad path.
+// common/lock_ranks.h and a "Class::member" label naming it in reports.
+// When enforcement is on, every acquisition is checked against a
+// thread-local stack of held locks: the new lock's (rank, address) must
+// be lexicographically greater than the top of the stack. A violation
+// aborts with both mutex names and ranks — turning a would-be deadlock
+// that TSan can only catch when two threads actually interleave into a
+// deterministic failure on any single-threaded traversal of the bad path.
 //
 // Enforcement defaults on in !NDEBUG builds and can be forced either way
 // with CONDSEL_LOCK_ORDER=1 / CONDSEL_LOCK_ORDER=0 in the environment

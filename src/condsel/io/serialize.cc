@@ -437,6 +437,17 @@ IoResult ReadCatalogFromBuffer(const void* data, size_t size, Catalog* out) {
 }
 
 IoResult WriteSitPool(const SitPool& pool, const std::string& path) {
+  // The pool format stores one histogram per SIT. A partitioned SIT's
+  // per-part pieces would be dropped and it would read back as a flat SIT
+  // estimating from the merged summary; refuse it instead.
+  for (const Sit& s : pool.sits()) {
+    if (s.is_partitioned()) {
+      return IoResult::Fail(
+          "SIT " + std::to_string(s.id) + " has per-part pieces the pool "
+          "format cannot store; persist partitioned statistics with "
+          "WritePartStats");
+    }
+  }
   File f(std::fopen(path.c_str(), "wb"));
   if (!f) return IoResult::Fail("cannot open '" + path + "' for writing");
   Writer w(f.get());

@@ -44,6 +44,8 @@ IoResult ReadCatalog(const std::string& path, Catalog* out);
 
 // SitPool <-> file. Reading validates that every SIT's tables/columns
 // exist in `catalog` (a pool is only meaningful against its database).
+// Writing refuses a pool holding partitioned SITs (a merged pool over
+// multi-part tables): their per-part pieces go through WritePartStats.
 IoResult WriteSitPool(const SitPool& pool, const std::string& path);
 IoResult ReadSitPool(const std::string& path, const Catalog& catalog,
                      SitPool* out);

@@ -72,7 +72,7 @@ class Memo {
   std::map<std::pair<PredSet, TableSet>, int> index_ CONDSEL_GUARDED_BY(mu_);
   // Append-only; elements are published by the release store to
   // num_groups_, so readers may index any id below num_groups().
-  // condsel-model: allow(guarded-field)
+  // condsel: allow(guarded-field)
   std::deque<Group> groups_;
   std::atomic<int> num_groups_{0};
 };

@@ -15,7 +15,7 @@
 //
 // Deadlines are per-call state: the driver owning a Compute() call arms
 // its own Deadline and passes it down explicitly (Score's deadline
-// argument, AtomicFactorCandidates' deadline argument). No shared layer
+// argument, AtomicFactorCandidatesInto's deadline argument). No shared layer
 // — in particular not the AtomicSelectivityProvider, which concurrent
 // estimators share — ever stores a borrowed deadline pointer, so two
 // searches on one provider can never clobber (or dangle) each other's

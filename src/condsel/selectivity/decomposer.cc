@@ -62,13 +62,4 @@ CONDSEL_HOT void AtomicFactorCandidatesInto(const Query& query, PredSet p,
   }
 }
 
-std::vector<PredSet> AtomicFactorCandidates(const Query& query, PredSet p,
-                                            const Deadline* deadline,
-                                            bool* truncated) {
-  Arena arena;
-  ArenaVector<PredSet> out(&arena);
-  AtomicFactorCandidatesInto(query, p, deadline, truncated, &out);
-  return std::vector<PredSet>(out.begin(), out.end());
-}
-
 }  // namespace condsel

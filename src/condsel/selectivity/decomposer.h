@@ -17,16 +17,15 @@
 // infinite (line 12's "no SITs available") and exploring them could never
 // win, so they are skipped outright.
 //
-// The enumeration is a pure function of (query, p) — both drivers of the
-// split DP call it and must see identical candidate lists for the
-// sequential and parallel results to agree bit-for-bit. The optional
-// deadline bounds step 4's fan-out (2^filters combinations per join): when
-// it expires the enumeration stops early and reports truncation, so a
-// pathological query cannot overshoot a deadline by the whole enumeration.
+// The enumeration is a pure function of (query, p) — of the query's
+// structure only, which is what lets the shape cache (shape_cache.h)
+// hand a stored list to every statement of the same shape. The optional
+// deadline bounds step 4's fan-out (2^filters combinations per join):
+// when it expires the enumeration stops early and reports truncation, so
+// a pathological query cannot overshoot a deadline by the whole
+// enumeration.
 
 #pragma once
-
-#include <vector>
 
 #include "condsel/common/arena.h"
 #include "condsel/query/query.h"
@@ -37,16 +36,10 @@ namespace condsel {
 // Appends the candidate head factors of `p`, in scoring order, to `out`
 // (arena-backed scratch owned by the calling Compute). `truncated`
 // (optional) is set iff the deadline expired mid-enumeration. A null or
-// disarmed deadline never truncates. This is the hot-path entry point —
-// it performs no heap allocation beyond `out`'s arena growth.
+// disarmed deadline never truncates. It performs no heap allocation
+// beyond `out`'s arena growth.
 void AtomicFactorCandidatesInto(const Query& query, PredSet p,
                                 const Deadline* deadline, bool* truncated,
                                 ArenaVector<PredSet>* out);
-
-// Vector-returning wrapper for callers off the hot path; identical
-// candidate list and order.
-std::vector<PredSet> AtomicFactorCandidates(const Query& query, PredSet p,
-                                            const Deadline* deadline = nullptr,
-                                            bool* truncated = nullptr);
 
 }  // namespace condsel

@@ -69,7 +69,7 @@ double EstimateGroupByCardinality(const Catalog& catalog, const Query& query,
   // result that satisfied those filters necessarily land in [lo, hi]).
   // Distinct-value math over the already-chosen statistic's buckets, not
   // a predicate-selectivity lookup — the provider picked `h`; here it is
-  // a frequency distribution. condsel-lint: allow(no-raw-histogram-lookup)
+  // a frequency distribution. condsel: allow(no-raw-histogram-lookup)
   const double range_mass = h.RangeSelectivity(lo, hi);
   if (range_mass <= 0.0) return 0.0;
   double distinct = 0.0;

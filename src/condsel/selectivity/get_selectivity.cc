@@ -36,7 +36,7 @@ GetSelectivity::~GetSelectivity() = default;
 CONDSEL_HOT SelEstimate GetSelectivity::Compute(PredSet p) {
   // Arm the per-call deadline for the duration of this call (the count
   // caps are cumulative and need no per-call state). The clock is passed
-  // down explicitly — Score's and AtomicFactorCandidates' deadline
+  // down explicitly — Score's and AtomicFactorCandidatesInto's deadline
   // arguments — never parked in the shared provider, so concurrent
   // estimators on one provider cannot clobber each other's deadline. RAII
   // disarms on every exit path: an exception escaping the search (an
@@ -110,7 +110,7 @@ void GetSelectivity::RecordEntry(PredSet p, const MemoEntry& entry) {
   // Recording mirrors the memo entry verbatim: its selectivity was
   // sanitized when the entry was built, and re-wrapping here would
   // mask an upstream sanitize regression from the audit.
-  // condsel-flow: allow(sanitize-flow)
+  // condsel: allow(sanitize-flow)
   node.selectivity = entry.selectivity;
   node.error = entry.error;
   const FaultInjector& fi = FaultInjector::Instance();

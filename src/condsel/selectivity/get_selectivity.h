@@ -15,7 +15,7 @@
 // The class is the evaluation *driver* over three separable layers:
 //   AtomicSelectivityProvider (atomic_provider.h) — the only code that
 //     matches SITs and reads histograms, with provenance reporting;
-//   AtomicFactorCandidates (decomposer.h) — the deadline-aware candidate
+//   AtomicFactorCandidatesInto (decomposer.h) — the deadline-aware candidate
 //     enumeration, a pure function of (query, subset);
 //   SelectivityMemo (selectivity_memo.h) — the subset memo.
 // The driver is the paper's depth-first recursion. A GetSelectivity is

@@ -86,8 +86,9 @@ StatusOr<uint64_t> EstimationService::EnableDeltaMaintenance(
   SitPool pool_copy = *pool.value();
   // The build and publish above block only other maintenance passes and
   // refreshes; epoch_mu_ is taken only inside Publish's non-blocking
-  // scoped blocks, keeping the acquire path wait-free, hence:
-  // condsel-model: allow(blocking-reachable)
+  // scoped blocks, so a session's Acquire() waits at most for a counter
+  // bump or a pointer swap, hence:
+  // condsel: allow(blocking-reachable)
   return publisher_.Publish(std::move(catalog), std::move(pool_copy));
 }
 
@@ -109,10 +110,11 @@ StatusOr<DeltaReport> EstimationService::ApplyDelta(const DeltaBatch& batch) {
   Catalog catalog = maintainer_->catalog();
   SitPool pool_copy = *pool.value();
   // Blocking here delays only other maintenance passes and refreshes;
-  // the acquire path stays wait-free (see EnableDeltaMaintenance), hence:
-  // condsel-model: allow(blocking-reachable)
-  StatusOr<uint64_t> epoch =
-      publisher_.Publish(std::move(catalog), std::move(pool_copy));
+  // the acquire path never waits on it (see EnableDeltaMaintenance),
+  // hence:
+  // condsel: allow(blocking-reachable)
+  StatusOr<uint64_t> epoch = publisher_.Publish(std::move(catalog),
+                                                std::move(pool_copy));
   if (!epoch.ok()) return StatusOr<DeltaReport>(epoch.status());
   return report;
 }

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <thread>
+#include <utility>
 
 #include "condsel/common/fault_injector.h"
 
@@ -19,7 +20,7 @@ StatusOr<uint64_t> SnapshotPublisher::Publish(Catalog catalog, SitPool pool) {
     // stall must only delay other refreshes, never a session's acquire.
     // Only other refreshes ever wait on refresh_mu_, and delaying them
     // is this lock's documented purpose, hence:
-    // condsel-model: allow(blocking-reachable)
+    // condsel: allow(blocking-reachable)
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   if (fi.armed() && fi.enabled(Fault::kFailSnapshotSwap)) {
@@ -38,14 +39,18 @@ StatusOr<uint64_t> SnapshotPublisher::Publish(Catalog catalog, SitPool pool) {
   }
   // Snapshot construction under refresh_mu_ is the refresh lock's whole
   // job; epoch_mu_ itself is NOT held here — the scoped blocks above and
-  // below keep the acquire path wait-free, hence:
-  // condsel-model: allow(blocking-reachable)
+  // below hold it only for a counter bump and a pointer swap, hence:
+  // condsel: allow(blocking-reachable)
   auto snap = std::make_shared<const Snapshot>(epoch, std::move(catalog),
                                                std::move(pool));
+  // Swapped out under epoch_mu_ but released after it: when no session
+  // still pins the old epoch, freeing its catalog and pool stalls no
+  // Acquire().
+  std::shared_ptr<const Snapshot> previous;
   {
     const std::lock_guard<OrderedMutex> lock(epoch_mu_);
     ledger_.emplace_back(epoch, snap);
-    current_.store(std::move(snap), std::memory_order_release);
+    previous = std::exchange(current_, std::move(snap));
   }
   published_count_.fetch_add(1, std::memory_order_relaxed);
   return epoch;

@@ -4,22 +4,23 @@
 // change under it: every Submit() pins one Snapshot — an immutable bundle
 // of the catalog and its SIT pool, stamped with a monotonically increasing
 // epoch — for the whole call. Refresh publishes a *new* snapshot by
-// atomically swapping the current handle; it never mutates a published
-// one, so in-flight estimates keep reading their pinned epoch and a swap
-// never blocks them. An old epoch is retired (freed) only when the last
-// session holding its shared_ptr drops it; the publisher's weak_ptr ledger
-// makes the retirement observable (live_epochs()).
+// swapping the current handle; it never mutates a published one, so
+// in-flight estimates keep reading their pinned epoch. An old epoch is
+// retired (freed) only when the last session holding its shared_ptr drops
+// it; the publisher's weak_ptr ledger makes the retirement observable
+// (live_epochs()).
 //
 // Locking discipline: Publish serializes writers on refresh_mu_ — held
 // across the (expensive) snapshot construction, which only other refreshes
 // ever wait on — while epoch_mu_ guards just the epoch counter, the
-// retirement ledger, and the pointer swap. No blocking work (allocation of
+// retirement ledger, and the current handle, which Publish swaps and every
+// session's Acquire() copies under it. No blocking work (allocation of
 // table data, statistics builds, sleeps, estimation) is ever done under
 // epoch_mu_; condsel_model's blocking-reachable check enforces this
-// (epoch_mu_ is the manifest's acquire-path lock), because one slow
-// refresh holding the epoch lock would stall every
-// session's acquire path — the exact overload-amplification failure the
-// service exists to prevent.
+// (lock_ranks.h marks kSnapshotEpoch as the acquire-path lock), because
+// one slow refresh holding the epoch lock would stall every session's
+// acquire path — the exact overload-amplification failure the service
+// exists to prevent.
 
 #pragma once
 
@@ -57,7 +58,7 @@ class Snapshot {
   // Torn-publication detector for the chaos soak: the seal is derived
   // from the epoch in the constructor, so any snapshot reachable through
   // Acquire() that was fully constructed verifies; a half-published one
-  // (the bug class the atomic swap exists to rule out) would not. The
+  // (the bug class the locked swap exists to rule out) would not. The
   // soak test asserts this never fires across thousands of concurrent
   // acquire/swap interleavings.
   bool Coherent() const { return seal_ == (kSealMagic ^ epoch_); }
@@ -82,10 +83,12 @@ class SnapshotPublisher {
       CONDSEL_EXCLUDES(epoch_mu_);
 
   // The current snapshot, or nullptr before the first successful Publish.
-  // Wait-free with respect to publishers: a refresh mid-swap never delays
-  // an acquire, and the returned handle pins its epoch until dropped.
-  std::shared_ptr<const Snapshot> Acquire() const {
-    return current_.load(std::memory_order_acquire);
+  // Copies the handle under epoch_mu_, which a refresh holds only for a
+  // counter bump or a pointer swap, never across snapshot construction;
+  // the returned handle pins its epoch until dropped.
+  std::shared_ptr<const Snapshot> Acquire() const CONDSEL_EXCLUDES(epoch_mu_) {
+    const std::lock_guard<OrderedMutex> lock(epoch_mu_);
+    return current_;
   }
 
   // Epoch of the current snapshot (0 before the first Publish).
@@ -113,9 +116,8 @@ class SnapshotPublisher {
   // Weak ledger of every published epoch, pruned as refcounts hit zero.
   mutable std::vector<std::pair<uint64_t, std::weak_ptr<const Snapshot>>>
       ledger_ CONDSEL_GUARDED_BY(epoch_mu_);
-  // The published handle. Swapped under epoch_mu_, read wait-free by
-  // sessions (they never touch epoch_mu_ to acquire).
-  std::atomic<std::shared_ptr<const Snapshot>> current_;
+  // The published handle: swapped by Publish, copied by Acquire.
+  std::shared_ptr<const Snapshot> current_ CONDSEL_GUARDED_BY(epoch_mu_);
   std::atomic<uint64_t> published_count_{0};
   std::atomic<uint64_t> failed_swaps_{0};
 };

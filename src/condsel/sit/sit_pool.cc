@@ -38,9 +38,18 @@ bool SitPool::Has(ColumnRef attr,
   return index_.count(std::make_tuple(attr, ColumnRef{}, sorted)) > 0;
 }
 
-SitPool GenerateSitPool(const std::vector<Query>& workload,
-                        int max_join_preds, const SitBuilder& builder) {
-  SitPool pool;
+bool SitSpec::References(TableId t) const {
+  for (const Predicate& p : expression) {
+    for (const ColumnRef& c : p.attrs()) {
+      if (c.table == t) return true;
+    }
+  }
+  return false;
+}
+
+std::vector<SitSpec> EnumerateSitSpecs(const std::vector<Query>& workload,
+                                       int max_join_preds) {
+  std::vector<SitSpec> specs;
 
   // Base histograms for every referenced column.
   std::set<ColumnRef> columns;
@@ -50,13 +59,13 @@ SitPool GenerateSitPool(const std::vector<Query>& workload,
     }
   }
   for (const ColumnRef& c : columns) {
-    pool.Add(builder.Build(c, {}));
+    specs.push_back(SitSpec{c, {}});
   }
-  if (max_join_preds == 0) return pool;
+  if (max_join_preds == 0) return specs;
 
   // SIT(a | Q): a is a filter attribute of some query, Q a connected
-  // subset of that query's join predicates reaching a's table. Group the
-  // wanted SITs by expression first so each expression is evaluated once.
+  // subset of that query's join predicates reaching a's table. Grouped
+  // by expression, so GenerateSitPool evaluates each expression once.
   std::map<std::vector<Predicate>, std::set<ColumnRef>> wanted;
   for (const Query& q : workload) {
     std::vector<ColumnRef> filter_attrs;
@@ -75,7 +84,31 @@ SitPool GenerateSitPool(const std::vector<Query>& workload,
     }
   }
   for (const auto& [expr, attr_set] : wanted) {
-    const std::vector<ColumnRef> attrs(attr_set.begin(), attr_set.end());
+    for (const ColumnRef& a : attr_set) {
+      specs.push_back(SitSpec{a, expr});
+    }
+  }
+  return specs;
+}
+
+SitPool GenerateSitPool(const std::vector<Query>& workload,
+                        int max_join_preds, const SitBuilder& builder) {
+  SitPool pool;
+  const std::vector<SitSpec> specs =
+      EnumerateSitSpecs(workload, max_join_preds);
+  size_t i = 0;
+  while (i < specs.size()) {
+    const std::vector<Predicate>& expr = specs[i].expression;
+    if (expr.empty()) {
+      pool.Add(builder.Build(specs[i].attr, {}));
+      ++i;
+      continue;
+    }
+    // One BuildMany per run of specs sharing an expression.
+    std::vector<ColumnRef> attrs;
+    for (; i < specs.size() && specs[i].expression == expr; ++i) {
+      attrs.push_back(specs[i].attr);
+    }
     for (Sit& sit : builder.BuildMany(attrs, expr)) {
       pool.Add(std::move(sit));
     }

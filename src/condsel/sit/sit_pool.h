@@ -51,9 +51,33 @@ class SitPool {
       index_;
 };
 
-// Builds pool J_i for `workload`. For i == 0 the pool holds base
-// histograms only. Base histograms cover every column referenced by any
-// workload query (filter and join columns alike).
+// The identity of one statistic: SIT_{attr.table}(attr | expression),
+// with the canonical (sorted) expression; empty = base histogram. The
+// owning table — the one whose parts partition per-part pieces
+// (catalog/part_stats.h) — is always attr.table.
+struct SitSpec {
+  ColumnRef attr;
+  std::vector<Predicate> expression;
+
+  TableId owner() const { return attr.table; }
+  // True if the expression references `t` (the owner is referenced by
+  // definition only when some predicate mentions it; base specs reference
+  // nothing beyond the owner).
+  bool References(TableId t) const;
+
+  friend bool operator==(const SitSpec&, const SitSpec&) = default;
+};
+
+// The statistics of pool J_i for `workload`, in pool order: base
+// histograms over the sorted set of referenced columns (filter and join
+// columns alike), then, for i > 0, per canonical expression in map order
+// its filter attributes sorted. The list is duplicate-free, so adding
+// the SITs in order assigns SitId == spec index.
+std::vector<SitSpec> EnumerateSitSpecs(const std::vector<Query>& workload,
+                                       int max_join_preds);
+
+// Builds pool J_i for `workload`: one SIT per EnumerateSitSpecs entry,
+// in that order.
 SitPool GenerateSitPool(const std::vector<Query>& workload, int max_join_preds,
                         const SitBuilder& builder);
 

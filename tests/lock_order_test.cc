@@ -83,7 +83,7 @@ TEST(OrderedMutexTest, DisabledEnforcementChecksNothing) {
     // Inverted, but harmless without a concurrent opposite-order holder;
     // with enforcement off it must neither abort nor count.
     const std::lock_guard<OrderedMutex> b(inner);
-    // condsel-model: allow(lock-cycle)
+    // condsel: allow(lock-cycle)
     const std::lock_guard<OrderedMutex> a(outer);
   }
   EXPECT_EQ(loi::checks_performed(), before);
@@ -122,7 +122,7 @@ TEST(OrderedMutexDeathTest, InvertedAcquisitionAbortsWithBothNames) {
         OrderedMutex outer(10, "death_outer");
         OrderedMutex inner(20, "death_inner");
         const std::lock_guard<OrderedMutex> b(inner);
-        // condsel-model: allow(lock-cycle)
+        // condsel: allow(lock-cycle)
         const std::lock_guard<OrderedMutex> a(outer);
       },
       "lock-order violation.*\"death_outer\".*rank 10.*"
@@ -137,7 +137,7 @@ TEST(OrderedMutexDeathTest, SharedAcquisitionIsOrderCheckedToo) {
         OrderedSharedMutex outer(10, "death_shared_outer");
         OrderedMutex inner(20, "death_inner");
         const std::lock_guard<OrderedMutex> b(inner);
-        // condsel-model: allow(lock-cycle)
+        // condsel: allow(lock-cycle)
         const std::shared_lock<OrderedSharedMutex> a(outer);
       },
       "lock-order violation.*\"death_shared_outer\".*rank 10.*"
@@ -151,7 +151,7 @@ TEST(OrderedMutexDeathTest, SelfRelockAborts) {
         loi::ForceEnabledForTesting(true);
         OrderedMutex mu(10, "death_self");
         const std::lock_guard<OrderedMutex> a(mu);
-        // condsel-model: allow(lock-cycle)
+        // condsel: allow(lock-cycle)
         const std::lock_guard<OrderedMutex> b(mu);
       },
       "lock-order violation.*\"death_self\".*rank 10.*"
@@ -168,7 +168,7 @@ TEST(OrderedMutexDeathTest, SameRankDescendingAddressAborts) {
         OrderedMutex* lo = &a < &b ? &a : &b;
         OrderedMutex* hi = &a < &b ? &b : &a;
         const std::lock_guard<OrderedMutex> first(*hi);
-        // condsel-model: allow(lock-cycle)
+        // condsel: allow(lock-cycle)
         const std::lock_guard<OrderedMutex> second(*lo);
       },
       "lock-order violation.*rank 50.*rank 50");

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "condsel/exec/evaluator.h"
@@ -104,6 +105,34 @@ TEST_F(SerializeTest, SitPoolRoundTrip) {
                   b.histogram.RangeSelectivity(1, 5), 1e-12);
     }
   }
+}
+
+TEST_F(SerializeTest, WriteSitPoolRejectsPartitionedSits) {
+  // R in two sealed parts: the merged pool's R-owned SITs carry one piece
+  // per part, which the pool format has no field for. Writing must fail
+  // rather than persist only the merged summary, which would read back as
+  // an unpartitioned SIT.
+  Catalog catalog = test::MakeTinyCatalog();
+  Table& table = catalog.mutable_table(0);
+  table.SealTail();
+  table.AppendRow({11, 60});
+  table.AppendRow({12, 10});
+  const std::vector<Query> workload = {Query(
+      {Predicate::Join({0, 1}, {1, 0}), Predicate::Filter({0, 0}, 1, 5)})};
+  PartStatsMaintainer maintainer(&catalog, workload, 1,
+                                 {HistogramType::kMaxDiff, 64});
+  ASSERT_TRUE(maintainer.BuildAll().ok());
+  ASSERT_EQ(catalog.table(0).num_parts(), 2u);
+  StatusOr<std::shared_ptr<const SitPool>> merged = maintainer.MergedPool();
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  const std::vector<Sit>& sits = merged.value()->sits();
+  ASSERT_TRUE(std::any_of(sits.begin(), sits.end(),
+                          [](const Sit& s) { return s.is_partitioned(); }));
+
+  const IoResult r =
+      WriteSitPool(*merged.value(), TempPath("partitioned_pool.bin"));
+  ASSERT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("WritePartStats"), std::string::npos) << r.error;
 }
 
 TEST_F(SerializeTest, RejectsWrongMagic) {

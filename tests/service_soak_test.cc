@@ -5,7 +5,7 @@
 // faults (throwing lookups, slow masked lookups, failed swaps, slow
 // refreshes). The invariants under all of that:
 //  - no torn snapshot is ever observed (every acquired handle is coherent
-//    — the atomic epoch swap never exposes a half-published bundle);
+//    — the locked epoch swap never exposes a half-published bundle);
 //  - the telemetry books balance exactly at quiescence: every submitted
 //    request is accounted as completed or failed, with one latency sample
 //    each, and rejections partition by outcome;
@@ -288,8 +288,8 @@ TEST_F(ServiceSoakTest, PinnedEpochSurvivesRefreshStorm) {
 // parts, deletes shrinking old ones) while session threads hammer
 // Submit. The maintainer mutates its own catalog under maintenance_mu_;
 // submits run against immutable snapshot copies, so the only shared
-// state is the atomic epoch swap — TSan (the CI chaos-soak step) proves
-// that claim.
+// state is the snapshot handle behind epoch_mu_ — TSan (the CI chaos-soak
+// step) proves that claim.
 TEST(ServiceDeltaSoakTest, DeltaMaintenanceStorm) {
   constexpr int kSessionThreads = 4;
   constexpr int kSubmitsPerThread = 12;

@@ -34,7 +34,7 @@ return inventory in cpp_model_common.py.  Four check families:
                   Regenerate with --write-budget after an intentional
                   change.
 
-Suppression: `// condsel-flow: allow(<check>)` on the flagged line or the
+Suppression: `// condsel: allow(<check>)` on the flagged line or the
 line above, with a justification comment.  Allows are themselves the
 sanctioned escape hatch the checks key on -- they are grep-able.
 
@@ -90,7 +90,7 @@ class FlowModel:
                 text = f.read()
             lines = text.splitlines()
             self.raw_lines[path] = lines
-            self.allowed[path] = cm.make_allowed(lines, [cm.FLOW_ALLOW_RE])
+            self.allowed[path] = cm.make_allowed(lines)
             for fn in cm.parse_functions(path, text):
                 self.functions.append(fn)
                 self.by_name.setdefault(fn.name, []).append(fn)

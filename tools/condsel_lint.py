@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """condsel_lint — project invariants clang-tidy cannot express.
 
-Rules (suppress one occurrence with `condsel-lint: allow(<rule>)` in a
+Rules (suppress one occurrence with `condsel: allow(<rule>)` in a
 comment on the same or the preceding line):
 
   pragma-once           every header uses `#pragma once`; no `#ifndef`
@@ -93,8 +93,6 @@ import cpp_model_common as cm  # noqa: E402
 
 EXTENSIONS = (".h", ".cc")
 
-ALLOW_RE = cm.LINT_ALLOW_RE
-
 
 class Finding:
     def __init__(self, path: str, line: int, rule: str, message: str):
@@ -107,17 +105,8 @@ class Finding:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
 
 
-def _allowed(lines: list[str], idx: int, rule: str) -> bool:
-    """True when line idx (0-based) carries or follows an allow marker."""
-    for probe in (idx, idx - 1):
-        if 0 <= probe < len(lines):
-            m = ALLOW_RE.search(lines[probe])
-            if m and m.group(1) == rule:
-                return True
-    return False
-
-
-def check_pragma_once(path: str, text: str, lines: list[str]) -> list[Finding]:
+def check_pragma_once(path: str, text: str, lines: list[str],
+                      allowed) -> list[Finding]:
     if not path.endswith(".h"):
         return []
     findings = []
@@ -126,7 +115,7 @@ def check_pragma_once(path: str, text: str, lines: list[str]) -> list[Finding]:
                                 "header lacks `#pragma once`"))
     for i, line in enumerate(lines):
         if re.match(r"\s*#ifndef\s+\w*_H_?\b", line):
-            if not _allowed(lines, i, "pragma-once"):
+            if not allowed(i, "pragma-once"):
                 findings.append(Finding(
                     path, i + 1, "pragma-once",
                     "include guard found; use `#pragma once` instead"))
@@ -134,7 +123,7 @@ def check_pragma_once(path: str, text: str, lines: list[str]) -> list[Finding]:
 
 
 def check_using_namespace(path: str, text: str,
-                          lines: list[str]) -> list[Finding]:
+                          lines: list[str], allowed) -> list[Finding]:
     in_header = path.endswith(".h")
     in_library = path.startswith("src/")
     if not (in_header or in_library):
@@ -142,7 +131,7 @@ def check_using_namespace(path: str, text: str,
     findings = []
     for i, line in enumerate(lines):
         if re.match(r"\s*using\s+namespace\b", line):
-            if _allowed(lines, i, "using-namespace"):
+            if allowed(i, "using-namespace"):
                 continue
             where = "headers" if in_header else "library code"
             findings.append(Finding(
@@ -155,7 +144,8 @@ CHECK_RE = re.compile(r"\bCONDSEL_CHECK(_MSG)?\s*\(")
 STATUS_RE = re.compile(r"\bStatusOr<|\bStatus\s+[A-Za-z_]|\bStatus::")
 
 
-def check_justified(path: str, text: str, lines: list[str]) -> list[Finding]:
+def check_justified(path: str, text: str, lines: list[str],
+                    allowed) -> list[Finding]:
     if not path.startswith("src/"):
         return []
     if not STATUS_RE.search(text):
@@ -169,7 +159,7 @@ def check_justified(path: str, text: str, lines: list[str]) -> list[Finding]:
         context = lines[max(0, i - 1): i + 1]
         if any("invariant" in c for c in context):
             continue
-        if _allowed(lines, i, "check-justified"):
+        if allowed(i, "check-justified"):
             continue
         findings.append(Finding(
             path, i + 1, "check-justified",
@@ -178,21 +168,22 @@ def check_justified(path: str, text: str, lines: list[str]) -> list[Finding]:
     return findings
 
 
-def check_includes(path: str, text: str, lines: list[str]) -> list[Finding]:
+def check_includes(path: str, text: str, lines: list[str],
+                   allowed) -> list[Finding]:
     findings = []
     for i, line in enumerate(lines):
         m = re.match(r'\s*#include\s+"([^"]+)"', line)
         if m:
             target = m.group(1)
             if target.startswith(("../", "./")) or target.startswith("src/"):
-                if not _allowed(lines, i, "include-hygiene"):
+                if not allowed(i, "include-hygiene"):
                     findings.append(Finding(
                         path, i + 1, "include-hygiene",
                         f'include "{target}" must be repo-rooted '
                         '(e.g. "condsel/...")'))
         if path.startswith("src/") and re.match(
                 r"\s*#include\s+<iostream>", line):
-            if not _allowed(lines, i, "include-hygiene"):
+            if not allowed(i, "include-hygiene"):
                 findings.append(Finding(
                     path, i + 1, "include-hygiene",
                     "library code must not include <iostream>"))
@@ -202,7 +193,8 @@ def check_includes(path: str, text: str, lines: list[str]) -> list[Finding]:
 ABORT_RE = re.compile(r"\b(?:std::)?(abort|exit)\s*\(")
 
 
-def check_no_abort(path: str, text: str, lines: list[str]) -> list[Finding]:
+def check_no_abort(path: str, text: str, lines: list[str],
+                   allowed) -> list[Finding]:
     if not path.startswith("src/"):
         return []
     if path.endswith("common/macros.h"):
@@ -211,7 +203,7 @@ def check_no_abort(path: str, text: str, lines: list[str]) -> list[Finding]:
     for i, line in enumerate(lines):
         stripped = line.split("//")[0]
         if ABORT_RE.search(stripped):
-            if not _allowed(lines, i, "no-direct-abort"):
+            if not allowed(i, "no-direct-abort"):
                 findings.append(Finding(
                     path, i + 1, "no-direct-abort",
                     "library code must not call abort()/exit() directly; "
@@ -224,7 +216,7 @@ STATUSISH_RE = re.compile(r"[Ss]tatus|\bTry[A-Z]")
 
 
 def check_nodiscard_status(path: str, text: str,
-                           lines: list[str]) -> list[Finding]:
+                           lines: list[str], allowed) -> list[Finding]:
     if not path.startswith("src/"):
         return []
     findings = []
@@ -233,7 +225,7 @@ def check_nodiscard_status(path: str, text: str,
         m = VOID_DISCARD_RE.search(code)
         if not m or not STATUSISH_RE.search(m.group(1)):
             continue
-        if _allowed(lines, i, "nodiscard-status"):
+        if allowed(i, "nodiscard-status"):
             continue
         findings.append(Finding(
             path, i + 1, "nodiscard-status",
@@ -256,7 +248,7 @@ ESTIMATOR_DIRS = ("src/condsel/selectivity/", "src/condsel/baselines/",
 
 
 def check_raw_histogram_lookup(path: str, text: str,
-                               lines: list[str]) -> list[Finding]:
+                               lines: list[str], allowed) -> list[Finding]:
     if not path.startswith(ESTIMATOR_DIRS):
         return []
     if path == "src/condsel/selectivity/atomic_provider.cc":
@@ -285,7 +277,7 @@ def check_raw_histogram_lookup(path: str, text: str,
                 "BuildMergedPool's validation")
         if part_reason is None:
             continue
-        if _allowed(lines, i, "no-raw-histogram-lookup"):
+        if allowed(i, "no-raw-histogram-lookup"):
             continue
         findings.append(Finding(
             path, i + 1, "no-raw-histogram-lookup", part_reason))
@@ -298,7 +290,7 @@ DEFAULT_LABEL_RE = re.compile(r"^\s*default\s*:")
 
 
 def check_status_switch(path: str, text: str,
-                        lines: list[str]) -> list[Finding]:
+                        lines: list[str], allowed) -> list[Finding]:
     """A switch over StatusCode must stay exhaustive: with -Wswitch (and
     -Werror in CI) a new enumerator then fails to compile at every
     classification site, instead of sliding into a default branch."""
@@ -329,7 +321,7 @@ def check_status_switch(path: str, text: str,
             if not is_status:
                 continue
             for idx in defaults:
-                if _allowed(lines, idx, "exhaustive-status-switch"):
+                if allowed(idx, "exhaustive-status-switch"):
                     continue
                 findings.append(Finding(
                     path, idx + 1, "exhaustive-status-switch",
@@ -345,7 +337,7 @@ DEADLINE_EXEMPT_FILES = ("src/condsel/selectivity/budget.h",
 
 
 def check_raw_set_deadline(path: str, text: str,
-                           lines: list[str]) -> list[Finding]:
+                           lines: list[str], allowed) -> list[Finding]:
     if not path.startswith("src/"):
         return []
     if path in DEADLINE_EXEMPT_FILES:
@@ -355,7 +347,7 @@ def check_raw_set_deadline(path: str, text: str,
         code = line.split("//")[0]
         if not RAW_SET_DEADLINE_RE.search(code):
             continue
-        if _allowed(lines, i, "raw-set-deadline"):
+        if allowed(i, "raw-set-deadline"):
             continue
         findings.append(Finding(
             path, i + 1, "raw-set-deadline",
@@ -383,7 +375,7 @@ ARENA_REF_RETURN_RE = re.compile(
 
 
 def check_arena_no_escape(path: str, text: str,
-                          lines: list[str]) -> list[Finding]:
+                          lines: list[str], allowed) -> list[Finding]:
     if not path.startswith("src/"):
         return []
     if path in ARENA_EXEMPT_FILES:
@@ -409,7 +401,7 @@ def check_arena_no_escape(path: str, text: str,
                 "allocated it — copy values out to let them outlive it")
         if reason is None:
             continue
-        if _allowed(lines, i, "arena-no-escape"):
+        if allowed(i, "arena-no-escape"):
             continue
         findings.append(Finding(path, i + 1, "arena-no-escape", reason))
     return findings
@@ -431,9 +423,10 @@ RULES = [
 
 def lint_text(rel_path: str, text: str) -> list[Finding]:
     lines = text.splitlines()
+    allowed = cm.make_allowed(lines)
     findings: list[Finding] = []
     for rule in RULES:
-        findings.extend(rule(rel_path, text, lines))
+        findings.extend(rule(rel_path, text, lines, allowed))
     return findings
 
 

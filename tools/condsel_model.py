@@ -2,27 +2,30 @@
 """condsel_model — project-model concurrency-contract analyzer.
 
 Where condsel_lint.py checks single lines, this tool parses the whole
-C++ tree into a model — every mutex declaration (including the rank and
-manifest name at OrderedMutex construction sites), every RAII lock
-acquisition, the Fault enumeration, and the GsStats/ServiceStatsSnapshot
+C++ tree into a model — every mutex declaration (including the rank
+constant and label at OrderedMutex construction sites), every RAII lock
+acquisition inside the function bodies of cpp_model_common's shared
+inventory, the Fault enumeration, and the GsStats/ServiceStatsSnapshot
 counter blocks — and checks the *relations* between them:
 
   lock-cycle          the acquires-while-holding graph has a cycle: two
                       code paths disagree about nesting order, which is a
                       deadlock waiting for the right interleaving.
-  rank-order          an acquisition edge contradicts the ranks declared
-                      in tools/lock_order.toml (outer lock must have the
-                      strictly smaller rank).
-  manifest-sync       tools/lock_order.toml, common/lock_ranks.h, and the
-                      OrderedMutex construction sites disagree — a rank
-                      the runtime checker enforces must be the rank the
-                      manifest documents.
+  rank-order          an acquisition edge contradicts the ranks the
+                      construction sites take from common/lock_ranks.h
+                      (outer lock must have the strictly smaller rank).
+  manifest-sync       common/lock_ranks.h and the OrderedMutex
+                      construction sites disagree: a site names a
+                      constant the header lacks, a constant is named by
+                      no site or by several, or two sites share a label
+                      or two constants a rank.
   blocking-reachable  a blocking call (sleep, condition wait, allocation
                       of snapshot-sized state, estimation entry points)
                       runs while holding a mutex from which an
-                      `acquire_path` lock is reachable in the lock graph:
-                      holding any such mutex can stall the session
-                      acquire path transitively.
+                      acquire-path lock (a lock_ranks.h constant marked
+                      `// condsel: acquire-path`) is reachable in the
+                      lock graph: holding any such mutex can stall the
+                      session acquire path transitively.
   guarded-field       mutable state declared after a mutex at the same
                       scope without a CONDSEL_GUARDED_BY annotation (in a
                       .cc: a static after a static mutex).
@@ -34,8 +37,8 @@ counter blocks — and checks the *relations* between them:
                       referenced by no test: telemetry nobody asserts on
                       regresses silently.
 
-Sites can be suppressed with `condsel-model: allow(<check>)` on the same
-or preceding line.
+Sites can be suppressed with `condsel: allow(<check>)` on the same or
+the preceding line.
 
 Usage:
   condsel_model.py [--root DIR] [--dot FILE] [--max-seconds N]
@@ -51,7 +54,6 @@ import os
 import re
 import sys
 import time
-import tomllib
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
@@ -64,12 +66,11 @@ import cpp_model_common as cm  # noqa: E402
 class MutexNode:
     def __init__(self, key, kind, file, line):
         self.key = key        # canonical name, e.g. "SnapshotPublisher::epoch_mu_"
-        self.kind = kind      # "std" | "ordered" | "ordered-shared" | "unresolved"
+        self.kind = kind      # declared type, or "unresolved"
         self.file = file
         self.line = line
-        self.rank = None      # from the manifest, when listed there
+        self.rank = None      # from lock_ranks.h, for OrderedMutex sites
         self.acquire_path = False
-        self.rank_const = None  # lock_rank:: constant at the decl site
 
 
 class Edge:
@@ -100,12 +101,12 @@ class Model:
         self.nodes = {}            # key -> MutexNode
         self.edges = []            # deduped on (src, dst)
         self._edge_keys = set()
+        self.lines = {}            # path -> raw source lines
+        self.allowed = {}          # path -> cm.make_allowed predicate
         self.blocking_sites = []   # (held keys tuple, file, line, text)
         self.method_acquires = {}  # simple name -> set of node keys
-        self.method_defs = {}      # simple name -> definition count
         self.call_sites = []       # (held keys tuple, callee, file, line)
         self.ordered_sites = []    # (const, label, file, line)
-        self.findings = []
 
     def node(self, key, kind, file, line):
         if key not in self.nodes:
@@ -121,15 +122,7 @@ class Model:
 
 
 # --------------------------------------------------------------------------
-# Parsing one file into the model.
-
-STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
-CLASS_OPEN_RE = re.compile(
-    r"\b(?:class|struct)\s+(\w+)\s*(?:final\s*)?(?::[^{;]*)?\{")
-METHOD_DEF_RE = re.compile(r"\b(\w+)::(~?\w+)\s*\(")
-LOCAL_STD_MUTEX_RE = re.compile(
-    r"^\s*(?:mutable\s+)?(?:" + cm.STD_MUTEX_TYPE + r")\s+(\w+)\s*;")
-CALL_RE = re.compile(r"\b(\w+)\s*\(")
+# Model construction.
 
 # Method names too generic (or too container-like) to use for call-graph
 # expansion: a false edge here invents cycles, so expansion stays
@@ -142,360 +135,224 @@ CALL_DENYLIST = {
     "load", "store", "fetch_add", "fetch_sub", "min", "max", "swap",
 }
 
-KIND_BY_TYPE = {
-    "OrderedMutex": "ordered",
-    "OrderedSharedMutex": "ordered-shared",
-}
-
 
 def brace_delta(code):
     return code.count("{") - code.count("}")
 
 
-class FileParser:
-    """Parses one .h/.cc: mutex declarations, class/method context,
-    held-lock tracking, acquisition edges, blocking and call sites."""
+def collect_declarations(model, path):
+    """Registers every mutex declared in `path`; returns {name: keys}.
+    OrderedMutex sites are keyed by their label, other members by their
+    full class path (`ShapeCache::Entry::mu_`), statics and
+    namespace-scope mutexes by the file (`pool.cc::mu`)."""
+    lines = model.lines[path]
+    names = {}
 
-    def __init__(self, model, path):
-        self.model = model
-        self.path = path
-        with open(path, encoding="utf-8", errors="replace") as f:
-            self.lines = f.read().splitlines()
-        self.allowed = cm.make_allowed(
-            self.lines, [cm.LINT_ALLOW_RE, cm.MODEL_ALLOW_RE])
-        # name -> set of node keys declared in this file
-        self.local_names = {}
+    def register(key, kind, name, lineno):
+        model.node(key, kind, path, lineno)
+        names.setdefault(name, set()).add(key)
 
-    def _register(self, key, kind, name, lineno):
-        self.model.node(key, kind, self.path, lineno)
-        self.local_names.setdefault(name, set()).add(key)
-
-    def _mutex_kind(self, type_text):
-        for t, kind in KIND_BY_TYPE.items():
-            if t in type_text:
-                return kind
-        return "std"
-
-    def collect_declarations(self):
-        """First pass: every mutex declaration in the file, with class
-        context, so acquisition resolution in any file can see them."""
-        # Ordered declarations usually wrap onto a second line (rank +
-        # manifest name); match them against the whole file text and map
-        # offsets back to line numbers.
-        text = "\n".join(self.lines)
-        ordered_lines = set()
-        for m in cm.ORDERED_DECL_RE.finditer(text):
-            lineno = text.count("\n", 0, m.start()) + 1
-            ordered_lines.update(
-                range(lineno, text.count("\n", 0, m.end()) + 2))
-            self._register(m.group("label"), KIND_BY_TYPE[m.group("type")],
-                           m.group("name"), lineno)
-            self.model.ordered_sites.append(
-                (m.group("const"), m.group("label"), self.path, lineno))
-        depth = 0
-        class_stack = []  # (name, depth at open)
-        in_block_comment = False
-        for lineno, raw in enumerate(self.lines, start=1):
-            code, in_block_comment = _strip_code(raw, in_block_comment)
-            for m in CLASS_OPEN_RE.finditer(code):
-                class_stack.append((m.group(1), depth))
-            if lineno not in ordered_lines:
-                member = cm.MUTEX_MEMBER_RE.match(code)
-                static = cm.STATIC_MUTEX_RE.match(code)
-                decl = static or member
-                if decl:
-                    name = decl.group("name")
-                    if static is None and class_stack:
-                        key = f"{class_stack[-1][0]}::{name}"
-                    else:
-                        rel = os.path.basename(self.path)
-                        key = f"{rel}::{name}"
-                    self._register(key, self._mutex_kind(decl.group("type")),
-                                   name, lineno)
+    # Ordered declarations usually wrap onto a second line (rank + label);
+    # match them against the whole file text and map offsets to lines.
+    text = "\n".join(lines)
+    ordered_lines = set()
+    for m in cm.ORDERED_DECL_RE.finditer(text):
+        lineno = text.count("\n", 0, m.start()) + 1
+        ordered_lines.update(range(lineno, text.count("\n", 0, m.end()) + 2))
+        register(m.group("label"), m.group("type"), m.group("name"), lineno)
+        model.ordered_sites.append(
+            (m.group("const"), m.group("label"), path, lineno))
+    classes = cm.ClassScope()
+    in_block = False
+    for lineno, raw in enumerate(lines, start=1):
+        code, in_block = cm.strip_code(raw, in_block)
+        if lineno not in ordered_lines:
+            static = cm.STATIC_MUTEX_RE.match(code)
+            decl = static or cm.MUTEX_MEMBER_RE.match(code)
+            if decl:
+                name = decl.group("name")
+                if static is None and classes.path:
+                    key = "::".join(classes.path + [name])
                 else:
-                    local = LOCAL_STD_MUTEX_RE.match(code)
-                    if local and not class_stack and depth > 0:
-                        rel = os.path.basename(self.path)
-                        self._register(f"{rel}::{local.group(1)}", "std",
-                                       local.group(1), lineno)
-            depth += brace_delta(code)
-            while class_stack and depth <= class_stack[-1][1]:
-                class_stack.pop()
-
-    def analyze_acquisitions(self, resolve):
-        """Second pass: held-lock stack per brace depth; records
-        acquisition edges, blocking sites, and call sites under locks."""
-        depth = 0
-        class_stack = []
-        method = None          # (simple name, class name or None, depth)
-        held = []              # (node key, depth at acquisition line end)
-        in_block_comment = False
-        for lineno, raw in enumerate(self.lines, start=1):
-            code, in_block_comment = _strip_code(raw, in_block_comment)
-            for m in CLASS_OPEN_RE.finditer(code):
-                class_stack.append((m.group(1), depth))
-            if depth == (class_stack[-1][1] + 1 if class_stack else 0):
-                md = METHOD_DEF_RE.search(code)
-                if md and not code.rstrip().endswith(";"):
-                    method = (md.group(2), md.group(1), depth)
-
-            guard = cm.GUARD_RE.search(code)
-            acquired_here = []
-            if guard:
-                enclosing = (method[1] if method else
-                             (class_stack[-1][0] if class_stack else None))
-                # An allow(lock-cycle) on the preceding line drops this
-                # site's edges from the graph (the lock is still tracked
-                # as held). For deliberately-inverted acquisitions in
-                # death tests, not for production code.
-                edges_ok = not self.allowed(lineno - 1, "lock-cycle")
-                for expr in cm.guard_mutex_exprs(guard.group("args")):
-                    name = cm.mutex_expr_name(expr)
-                    if name is None:
-                        continue
-                    key = resolve(self, enclosing, name)
-                    if edges_ok:
-                        for held_key, _ in held:
-                            self.model.add_edge(held_key, key, self.path,
-                                                lineno)
-                        for prev in acquired_here:
-                            self.model.add_edge(prev, key, self.path,
-                                                lineno)
-                    acquired_here.append(key)
-                if not held and method and acquired_here:
-                    simple = method[0]
-                    self.model.method_acquires.setdefault(
-                        simple, set()).update(acquired_here)
-
-            if held and not guard:
-                if (cm.BLOCKING_CALL_RE.search(code)
-                        and not self.allowed(lineno - 1,
-                                             "blocking-reachable")):
-                    self.model.blocking_sites.append(
-                        (tuple(k for k, _ in held), self.path, lineno,
-                         code.strip()))
-                for cm_ in CALL_RE.finditer(code):
-                    callee = cm_.group(1)
-                    if callee.lower() not in CALL_DENYLIST:
-                        self.model.call_sites.append(
-                            (tuple(k for k, _ in held), callee, self.path,
-                             lineno))
-
-            depth += brace_delta(code)
-            new_depth_for_guards = depth
-            for key in acquired_here:
-                held.append((key, new_depth_for_guards))
-            while held and held[-1][1] > depth:
-                held.pop()
-            while class_stack and depth <= class_stack[-1][1]:
-                class_stack.pop()
-            if method and depth <= method[2]:
-                # Count definitions per simple name for expansion safety.
-                self.model.method_defs[method[0]] = (
-                    self.model.method_defs.get(method[0], 0) + 1)
-                method = None
+                    key = f"{os.path.basename(path)}::{name}"
+                register(key, decl.group("type"), name, lineno)
+        classes.feed(code)
+    return names
 
 
-def _strip_code(raw, in_block_comment):
-    """Code text of a raw line, with strings blanked and //- and
-    /*-comments removed; returns (code, still_in_block_comment)."""
-    s = STRING_RE.sub('""', raw)
-    out = []
-    i = 0
-    while i < len(s):
-        if in_block_comment:
-            end = s.find("*/", i)
-            if end < 0:
-                return "".join(out), True
-            i = end + 2
-            in_block_comment = False
-            continue
-        if s.startswith("//", i):
-            break
-        if s.startswith("/*", i):
-            in_block_comment = True
-            i += 2
-            continue
-        out.append(s[i])
-        i += 1
-    return "".join(out), in_block_comment
-
-
-def make_resolver(model, per_file_names, global_names, unit_of):
+def make_resolver(model, unit_names, global_names):
     """Resolution for the last identifier of a guarded mutex expression:
-    enclosing class member, then unique in the file unit (x.cc + x.h),
-    then unique across the inventory, else an unresolved file-local node
+    a member of the defining function's class or of an enclosing class
+    (C++ lookup order), then unique in the file unit (x.cc + x.h), then
+    unique across the tree, else an unresolved file-local node
     (participates in the graph unranked)."""
 
-    def resolve(parser, enclosing_class, name):
-        if enclosing_class:
-            key = f"{enclosing_class}::{name}"
+    def resolve(fn, name):
+        scope = fn.scope.split("::") if fn.scope else []
+        for i in range(len(scope), 0, -1):
+            key = "::".join(scope[:i] + [name])
             if key in model.nodes:
                 return key
-        unit = unit_of(parser.path)
-        candidates = per_file_names.get(unit, {}).get(name, set())
-        if len(candidates) == 1:
-            return next(iter(candidates))
-        candidates = global_names.get(name, set())
-        if len(candidates) == 1:
-            return next(iter(candidates))
-        rel = os.path.basename(parser.path)
-        key = f"{rel}::{name}?"
-        model.node(key, "unresolved", parser.path, 0)
+        unit = os.path.splitext(fn.path)[0]
+        for candidates in (unit_names.get(unit, {}).get(name, ()),
+                           global_names.get(name, ())):
+            if len(candidates) == 1:
+                return next(iter(candidates))
+        key = f"{os.path.basename(fn.path)}::{name}?"
+        model.node(key, "unresolved", fn.path, 0)
         return key
 
     return resolve
 
 
-# --------------------------------------------------------------------------
-# Model construction.
+def analyze_function(model, fn, resolve):
+    """Walks one function body with a held-lock stack per brace depth;
+    records acquisition edges, blocking sites, and calls under locks."""
+    allowed = model.allowed[fn.path]
+    calls_at = {}
+    for lineno, callee in fn.calls:
+        calls_at.setdefault(lineno, []).append(callee.split("::")[-1])
+    held = []   # (node key, body depth after its acquisition line)
+    depth = 1
+    for lineno, code in fn.body:
+        guard = cm.GUARD_RE.search(code)
+        acquired = []
+        if guard:
+            # An allow(lock-cycle) on the preceding line drops this site's
+            # edges from the graph (the lock is still tracked as held).
+            # For deliberately-inverted acquisitions in death tests, not
+            # for production code.
+            edges_ok = not allowed(lineno - 1, "lock-cycle")
+            for expr in cm.guard_mutex_exprs(guard.group("args")):
+                name = cm.mutex_expr_name(expr)
+                if name is None:
+                    continue
+                key = resolve(fn, name)
+                if edges_ok:
+                    for src in [k for k, _ in held] + acquired:
+                        model.add_edge(src, key, fn.path, lineno)
+                acquired.append(key)
+            if not held and acquired:
+                model.method_acquires.setdefault(fn.name, set()).update(
+                    acquired)
+        elif held:
+            keys = tuple(k for k, _ in held)
+            if (cm.BLOCKING_CALL_RE.search(code)
+                    and not allowed(lineno - 1, "blocking-reachable")):
+                model.blocking_sites.append(
+                    (keys, fn.path, lineno, code.strip()))
+            for callee in calls_at.get(lineno, ()):
+                if callee.lower() not in CALL_DENYLIST:
+                    model.call_sites.append((keys, callee, fn.path, lineno))
+        depth += brace_delta(code)
+        held += [(key, depth) for key in acquired]
+        while held and held[-1][1] > depth:
+            held.pop()
+
 
 def find_named(root, filename):
-    hits = []
-    for path in cm.iter_source_files(root):
-        if os.path.basename(path) == filename:
-            hits.append(path)
-    return hits
+    return [path for path in cm.iter_source_files(root)
+            if os.path.basename(path) == filename]
 
 
 def build_model(root):
     model = Model(root)
-    parsers = []
-    for path in cm.iter_source_files(root):
-        p = FileParser(model, path)
-        p.collect_declarations()
-        parsers.append(p)
-
-    def unit_of(path):
-        return os.path.splitext(path)[0]
-
-    per_file_names = {}
+    unit_names = {}
     global_names = {}
-    for p in parsers:
-        unit = unit_of(p.path)
-        merged = per_file_names.setdefault(unit, {})
-        for name, keys in p.local_names.items():
-            merged.setdefault(name, set()).update(keys)
+    for path in cm.iter_source_files(root):
+        with open(path, encoding="utf-8", errors="replace") as f:
+            model.lines[path] = f.read().splitlines()
+        model.allowed[path] = cm.make_allowed(model.lines[path])
+        unit = unit_names.setdefault(os.path.splitext(path)[0], {})
+        for name, keys in collect_declarations(model, path).items():
+            unit.setdefault(name, set()).update(keys)
             global_names.setdefault(name, set()).update(keys)
 
-    resolve = make_resolver(model, per_file_names, global_names, unit_of)
-    for p in parsers:
-        p.analyze_acquisitions(resolve)
+    resolve = make_resolver(model, unit_names, global_names)
+    functions, by_name = cm.build_function_inventory(root, cm.SCAN_DIRS)
+    for fn in functions:
+        analyze_function(model, fn, resolve)
 
     # One-level call-graph expansion: a call made under a held lock, to a
-    # method defined exactly once in the model that itself acquires
-    # lock(s) at its top level, contributes held -> acquired edges.
+    # function defined exactly once in the tree that itself acquires
+    # lock(s) with nothing else held, contributes held -> acquired edges.
     for held, callee, path, lineno in model.call_sites:
-        if model.method_defs.get(callee, 0) != 1:
-            continue
-        acquired = model.method_acquires.get(callee)
-        if not acquired:
+        if len(by_name.get(callee, ())) != 1:
             continue
         for h in held:
-            for a in acquired:
+            for a in model.method_acquires.get(callee, ()):
                 model.add_edge(h, a, path, lineno, via=callee)
     return model
 
 
-def load_manifest(root):
-    path = os.path.join(root, "tools", "lock_order.toml")
-    if not os.path.exists(path):
-        return None, path
-    with open(path, "rb") as f:
-        return tomllib.load(f), path
-
-
 def load_lock_ranks(root):
-    """constant -> (rank, file, line) from a lock_ranks.h, if present."""
+    """constant -> (rank, acquire_path, file, line) from the tree's
+    lock_ranks.h, or None when it has none."""
     hits = find_named(root, "lock_ranks.h")
     if not hits:
-        return None, None
+        return None
     consts = {}
-    path = hits[0]
-    with open(path, encoding="utf-8") as f:
+    with open(hits[0], encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             m = cm.LOCK_RANK_CONST_RE.match(cm.strip_line_comment(line))
             if m:
-                consts[m.group("const")] = (int(m.group("rank")), path,
-                                            lineno)
-    return consts, path
+                acquire_path = bool(cm.ACQUIRE_PATH_RE.search(line))
+                consts[m.group("const")] = (int(m.group("rank")),
+                                            acquire_path, hits[0], lineno)
+    return consts
 
 
 # --------------------------------------------------------------------------
 # Checks.
 
-def check_manifest_sync(model, manifest, manifest_path, rank_consts):
+def check_manifest_sync(model, rank_consts):
+    """lock_ranks.h against the OrderedMutex construction sites. Attaches
+    each site's rank and acquire-path mark to its node."""
     out = []
-    if manifest is None:
+    if rank_consts is None:
         if model.ordered_sites:
             _, _, path, lineno = model.ordered_sites[0]
             out.append(Finding(
                 "manifest-sync", path, lineno,
-                "OrderedMutex construction sites exist but "
-                "tools/lock_order.toml is missing"))
+                "OrderedMutex construction sites exist but no "
+                "lock_ranks.h defines their ranks"))
         return out
-    entries = manifest.get("mutex", [])
-    by_name = {}
-    ranks_seen = {}
-    for e in entries:
-        name, const, rank = e.get("name"), e.get("constant"), e.get("rank")
-        if name is None or const is None or rank is None:
-            out.append(Finding("manifest-sync", manifest_path, 0,
-                               f"manifest entry {e!r} lacks "
-                               "name/constant/rank"))
-            continue
-        if name in by_name:
-            out.append(Finding("manifest-sync", manifest_path, 0,
-                               f'duplicate manifest entry "{name}"'))
-        by_name[name] = e
-        if rank in ranks_seen:
-            out.append(Finding(
-                "manifest-sync", manifest_path, 0,
-                f'rank {rank} assigned to both "{ranks_seen[rank]}" and '
-                f'"{name}" (ranks are unique)'))
-        ranks_seen[rank] = name
-        if rank_consts is not None:
-            if const not in rank_consts:
-                out.append(Finding(
-                    "manifest-sync", manifest_path, 0,
-                    f'manifest constant "{const}" has no lock_rank:: '
-                    "definition in lock_ranks.h"))
-            elif rank_consts[const][0] != rank:
-                cr, cf, cl = rank_consts[const]
-                out.append(Finding(
-                    "manifest-sync", cf, cl,
-                    f"lock_rank::{const} = {cr} but the manifest says "
-                    f'rank {rank} for "{name}"'))
-        # Attach manifest facts to nodes.
-        node = model.nodes.get(name)
-        if node is not None:
-            node.rank = rank
-            node.acquire_path = bool(e.get("acquire_path", False))
-
-    site_labels = set()
+    sites_of = {}
+    first_site = {}
     for const, label, path, lineno in model.ordered_sites:
-        site_labels.add(label)
-        entry = by_name.get(label)
-        if entry is None:
+        sites_of.setdefault(const, []).append(label)
+        if label in first_site:
             out.append(Finding(
                 "manifest-sync", path, lineno,
-                f'OrderedMutex "{label}" is not listed in '
-                "tools/lock_order.toml"))
-        elif entry.get("constant") != const:
+                f'OrderedMutex label "{label}" is constructed twice (first '
+                f"at {first_site[label]}); labels are unique"))
+        first_site.setdefault(
+            label, f"{os.path.relpath(path, model.root)}:{lineno}")
+        if const not in rank_consts:
             out.append(Finding(
                 "manifest-sync", path, lineno,
                 f'OrderedMutex "{label}" is constructed with '
-                f"lock_rank::{const} but the manifest assigns "
-                f"{entry.get('constant')}"))
-        node = model.nodes.get(label)
-        if node is not None:
-            node.rank_const = const
-    for name in by_name:
-        if name not in site_labels:
+                f"lock_rank::{const}, which lock_ranks.h does not define"))
+            continue
+        node = model.nodes[label]
+        node.rank, node.acquire_path = rank_consts[const][:2]
+    const_of_rank = {}
+    for const, (rank, _, path, lineno) in rank_consts.items():
+        labels = sites_of.get(const, [])
+        if len(labels) != 1:
+            named = (", ".join(f'"{label}"' for label in labels)
+                     or "no construction site")
             out.append(Finding(
-                "manifest-sync", manifest_path, 0,
-                f'manifest lists "{name}" but no OrderedMutex '
-                "construction site uses that name"))
+                "manifest-sync", path, lineno,
+                f"lock_rank::{const} is named by {named}; each constant "
+                "ranks exactly one OrderedMutex"))
+        if rank in const_of_rank:
+            out.append(Finding(
+                "manifest-sync", path, lineno,
+                f"rank {rank} assigned to both lock_rank::"
+                f"{const_of_rank[rank]} and lock_rank::{const} (ranks are "
+                "unique)"))
+        const_of_rank.setdefault(rank, const)
     return out
 
 
@@ -567,7 +424,7 @@ def check_rank_order(model):
             out.append(Finding(
                 "rank-order", e.file, e.line,
                 f'"{e.dst}" (rank {dst.rank}) acquired{via} while '
-                f'holding "{e.src}" (rank {src.rank}); the manifest '
+                f'holding "{e.src}" (rank {src.rank}); lock_ranks.h '
                 "requires strictly increasing ranks inward"))
     return out
 
@@ -602,15 +459,11 @@ def check_blocking_reachable(model):
     return out
 
 
-def check_guarded_field(root):
+def check_guarded_field(model):
     out = []
-    for path in cm.iter_source_files(root):
-        with open(path, encoding="utf-8", errors="replace") as f:
-            lines = f.read().splitlines()
-        allowed = cm.make_allowed(
-            lines, [cm.LINT_ALLOW_RE, cm.MODEL_ALLOW_RE])
+    for path, lines in model.lines.items():
         for lineno, message in cm.guarded_field_findings(
-                path, lines, allowed, "guarded-field"):
+                path, lines, model.allowed[path], "guarded-field"):
             out.append(Finding("guarded-field", path, lineno, message))
     return out
 
@@ -743,15 +596,12 @@ def write_dot(model, path):
 
 def run_checks(root):
     model = build_model(root)
-    manifest, manifest_path = load_manifest(root)
-    rank_consts, _ = load_lock_ranks(root)
     findings = []
-    findings += check_manifest_sync(model, manifest, manifest_path,
-                                    rank_consts)
+    findings += check_manifest_sync(model, load_lock_ranks(root))
     findings += check_lock_cycle(model)
     findings += check_rank_order(model)
     findings += check_blocking_reachable(model)
-    findings += check_guarded_field(root)
+    findings += check_guarded_field(model)
     fault_findings, fault_rows = fault_census(root)
     findings += fault_findings
     counter_findings, counter_rows = counter_census(root)

@@ -4,9 +4,10 @@ condsel_lint.py (line-level rules), condsel_model.py (the project model /
 lock-graph analyzer) and condsel_flow.py (dataflow contracts).
 
 The analyzers reason about the same surface syntax — source-tree shape,
-suppression markers, mutex declarations, GUARDED_BY annotations,
-lock-guard acquisition sites, blocking calls, function inventories — so
-those regexes live here once and the tools cannot drift apart.
+the one suppression marker (`condsel: allow(<check>)`), mutex
+declarations, GUARDED_BY annotations, lock-guard acquisition sites,
+blocking calls, class scopes, function inventories — so those regexes
+live here once and the tools cannot drift apart.
 
 Run `cpp_model_common.py --self-test` to validate every exported regex
 and helper against an embedded corpus of positive/negative examples.
@@ -47,25 +48,21 @@ def strip_line_comment(line: str) -> str:
 
 
 # --------------------------------------------------------------------------
-# Suppression markers. Each tool has its own marker; a checker shared by
-# both tools accepts a list so a site suppressed for one cannot silently
-# re-fire under the other.
+# Suppression markers. One syntax for every analyzer: check ids are unique
+# across the three tools, so `condsel: allow(<check>)` names exactly one.
 
-LINT_ALLOW_RE = re.compile(r"condsel-lint:\s*allow\(([a-z0-9-]+)\)")
-MODEL_ALLOW_RE = re.compile(r"condsel-model:\s*allow\(([a-z0-9-]+)\)")
-FLOW_ALLOW_RE = re.compile(r"condsel-flow:\s*allow\(([a-z0-9-]+)\)")
+ALLOW_RE = re.compile(r"condsel:\s*allow\(([a-z0-9-]+)\)")
 
 
-def make_allowed(lines, allow_res):
-    """Returns allowed(idx, rule) -> True when line idx (0-based) carries
-    or follows a matching allow marker for any regex in `allow_res`."""
-    def allowed(idx: int, rule: str) -> bool:
+def make_allowed(lines):
+    """Returns allowed(idx, check) -> True when line idx (0-based) carries
+    or directly follows a `condsel: allow(<check>)` marker."""
+    def allowed(idx: int, check: str) -> bool:
         for probe in (idx, idx - 1):
             if 0 <= probe < len(lines):
-                for allow_re in allow_res:
-                    for m in allow_re.finditer(lines[probe]):
-                        if m.group(1) == rule:
-                            return True
+                for m in ALLOW_RE.finditer(lines[probe]):
+                    if m.group(1) == check:
+                        return True
         return False
     return allowed
 
@@ -81,7 +78,7 @@ ORDERED_MUTEX_TYPE = r"(?:condsel::)?Ordered(?:Shared)?Mutex"
 ANY_MUTEX_TYPE = f"(?:{STD_MUTEX_TYPE}|{ORDERED_MUTEX_TYPE})"
 
 # A mutex data member (class/struct scope). Ordered types carry a brace
-# initializer with their rank and manifest name.
+# initializer with their rank constant and label.
 MUTEX_MEMBER_RE = re.compile(
     r"^\s*(?:mutable\s+)?(?P<type>" + ANY_MUTEX_TYPE + r")\s+"
     r"(?P<name>\w+)\s*(?P<init>\{[^;]*\})?\s*;")
@@ -91,17 +88,20 @@ STATIC_MUTEX_RE = re.compile(
     r"^\s*static\s+(?:mutable\s+)?(?P<type>" + ANY_MUTEX_TYPE + r")\s+"
     r"(?P<name>\w+)\s*(?P<init>\{[^;]*\})?\s*;")
 
-# An OrderedMutex construction site with its rank constant and manifest
-# name, e.g.:  mutable OrderedMutex mu_{lock_rank::kAdmission,
-#                                       "AdmissionController::mu_"};
+# An OrderedMutex construction site with its rank constant and label,
+# e.g.:  mutable OrderedMutex mu_{lock_rank::kAdmission,
+#                                 "AdmissionController::mu_"};
 ORDERED_DECL_RE = re.compile(
     r"\b(?P<type>Ordered(?:Shared)?Mutex)\s+(?P<name>\w+)\s*\{\s*"
     r"lock_rank::(?P<const>k\w+)\s*,\s*\"(?P<label>[^\"]+)\"\s*\}")
 
-# A rank constant in common/lock_ranks.h.
+# A rank constant in common/lock_ranks.h. A `condsel: acquire-path`
+# comment on the same line marks the lock sessions take to acquire a
+# snapshot (condsel_model's blocking-reachable check).
 LOCK_RANK_CONST_RE = re.compile(
     r"^\s*inline\s+constexpr\s+int\s+(?P<const>k\w+)\s*=\s*"
     r"(?P<rank>\d+)\s*;")
+ACQUIRE_PATH_RE = re.compile(r"condsel:\s*acquire-path\b")
 
 # A data member by project convention: trailing-underscore name, optional
 # array extent / brace-or-equals initializer / GUARDED_BY annotation.
@@ -259,15 +259,18 @@ def guarded_field_findings(path: str, lines, allowed, rule: str):
 
 
 # --------------------------------------------------------------------------
-# Function / call-site / return-statement inventory (condsel_flow.py).
+# Function / call-site / return-statement inventory (condsel_flow.py and
+# condsel_model.py).
 #
 # The flow analyzer reasons about whole function bodies — which callees a
-# loop reaches, which return statements mention a tainted variable — so it
-# needs a statement-level view of the tree that the line-oriented lint
-# rules never build. The parser below is deliberately regex-grade: it
-# strips strings and comments, joins multi-line signatures, and tracks
-# braces; it does not parse C++. That is the same precision contract as
-# the mutex inventory, and it gets the same embedded self-test corpus.
+# loop reaches, which return statements mention a tainted variable — and
+# the lock model walks the same bodies for held locks and calls made
+# under them, so both need a statement-level view of the tree that the
+# line-oriented lint rules never build. The parser below is deliberately
+# regex-grade: it strips strings and comments, joins multi-line
+# signatures, and tracks braces; it does not parse C++. That is the same
+# precision contract as the mutex inventory, and it gets the same
+# embedded self-test corpus.
 
 _STR_LITERAL_RE = re.compile(r'"(?:[^"\\]|\\.)*"|\'(?:[^\'\\]|\\.)*\'')
 
@@ -322,13 +325,16 @@ class FunctionDef:
     """One function definition: identity, head text, stripped body lines,
     and the harvested call sites / return statements / loops."""
 
-    __slots__ = ("path", "name", "cls", "line", "end_line", "head",
+    __slots__ = ("path", "name", "cls", "scope", "line", "end_line", "head",
                  "params", "hot", "body", "calls", "returns", "loops")
 
-    def __init__(self, path, name, cls, line, head, params):
+    def __init__(self, path, name, scope, line, head, params):
         self.path = path
         self.name = name
-        self.cls = cls
+        # Full class qualifier ("ShapeCache::Entry"), and its innermost
+        # class ("Entry"), which is what `qual` reports.
+        self.scope = scope
+        self.cls = scope.rsplit("::", 1)[-1] if scope else None
         self.line = line
         self.end_line = line
         self.head = head
@@ -383,16 +389,15 @@ def _validate_head(head: str):
     qual = re.sub(r"\s+", "", m.group(1))
     parts = qual.split("::")
     name = parts[-1].lstrip("~")
-    cls = parts[-2] if len(parts) > 1 else None
     if not name or name in CONTROL_KEYWORDS:
         return None
-    return name, cls, _extract_params(head)
+    return name, parts[:-1], _extract_params(head)
 
 
 def _match_head(code_lines, i):
     """Try to read a function head starting at line i. Returns None or
-    (name, cls, params, head, open_idx, open_col) where open_idx/open_col
-    locate the body's opening `{`."""
+    (name, qualifier, params, head, open_idx, open_col) where
+    open_idx/open_col locate the body's opening `{`."""
     first = code_lines[i].strip()
     if not first or first.startswith("#") or first.startswith("}"):
         return None
@@ -414,8 +419,8 @@ def _match_head(code_lines, i):
                 v = _validate_head(head)
                 if v is None:
                     return None
-                name, cls, params = v
-                return name, cls, params, head, j, k
+                name, qualifier, params = v
+                return name, qualifier, params, head, j, k
             elif c == "}" and paren == 0:
                 return None
         buf.append(seg + "\n")
@@ -516,6 +521,41 @@ def _harvest(fn: FunctionDef):
                          flat[body_start + 1:q], line_of(min(q, len(flat) - 1))))
 
 
+_CLASS_RE = re.compile(r"(?:^|[\s;{}])(?:class|struct)\s+"
+                       r"(?:alignas\s*\([^)]*\)\s*)?(\w+)")
+
+
+class ClassScope:
+    """Enclosing class/struct tracking over stripped code lines: feed()
+    each line in order; `path` is the list of enclosing class names,
+    outermost first. Namespaces and other blocks count only as depth."""
+
+    def __init__(self):
+        self.path = []
+        self._opened_at = []   # brace depth each class body opened at
+        self._depth = 0
+        self._pending = None
+
+    def feed(self, code: str):
+        m = _CLASS_RE.search(re.sub(r"template\s*<[^<>]*>", "", code))
+        if m:
+            self._pending = m.group(1)
+        for ch in code:
+            if ch == "{":
+                self._depth += 1
+                if self._pending is not None:
+                    self.path.append(self._pending)
+                    self._opened_at.append(self._depth)
+                    self._pending = None
+            elif ch == "}":
+                self._depth -= 1
+                while self._opened_at and self._opened_at[-1] > self._depth:
+                    self._opened_at.pop()
+                    self.path.pop()
+            elif ch == ";":
+                self._pending = None  # forward declaration
+
+
 def parse_functions(path: str, text: str):
     """Every function definition in `text` with harvested calls, returns
     and loops. `path` is recorded on each FunctionDef verbatim."""
@@ -526,43 +566,18 @@ def parse_functions(path: str, text: str):
         code_lines.append(code)
     funcs = []
     i, n = 0, len(code_lines)
-    # Enclosing class/struct tracking so header-inline methods get their
-    # class name: a stack of (class_name, body_depth), maintained only
-    # over the lines between function definitions.
-    scope_stack = []
-    outer_depth = 0
-    pending_class = None
-    _CLASS_RE = re.compile(r"(?:^|[\s;{}])(?:class|struct)\s+"
-                           r"(?:alignas\s*\([^)]*\)\s*)?(\w+)")
-
-    def scan_outer_line(seg):
-        nonlocal outer_depth, pending_class
-        m = _CLASS_RE.search(re.sub(r"template\s*<[^<>]*>", "", seg))
-        if m:
-            pending_class = m.group(1)
-        for ch in seg:
-            if ch == "{":
-                outer_depth += 1
-                if pending_class is not None:
-                    scope_stack.append((pending_class, outer_depth))
-                    pending_class = None
-            elif ch == "}":
-                outer_depth -= 1
-                while scope_stack and scope_stack[-1][1] > outer_depth:
-                    scope_stack.pop()
-            elif ch == ";":
-                pending_class = None  # forward declaration
-
+    # Class tracking over the lines between function definitions, so
+    # header-inline methods get their enclosing classes.
+    classes = ClassScope()
     while i < n:
         head = _match_head(code_lines, i)
         if head is None:
-            scan_outer_line(code_lines[i])
+            classes.feed(code_lines[i])
             i += 1
             continue
-        name, cls, params, head_text, open_idx, open_col = head
-        if cls is None and scope_stack:
-            cls = scope_stack[-1][0]
-        fn = FunctionDef(path, name, cls, i + 1, head_text, params)
+        name, qualifier, params, head_text, open_idx, open_col = head
+        scope = "::".join(classes.path + qualifier) or None
+        fn = FunctionDef(path, name, scope, i + 1, head_text, params)
         depth, end_idx, end_col = 0, None, None
         j = open_idx
         while j < n:
@@ -652,7 +667,7 @@ def _t_static_mutex():
     assert not STATIC_MUTEX_RE.match("std::mutex mu_;")
 
 
-@_case("ORDERED_DECL_RE extracts rank constant and manifest label")
+@_case("ORDERED_DECL_RE extracts rank constant and label")
 def _t_ordered_decl():
     m = ORDERED_DECL_RE.search(
         "mutable OrderedMutex epoch_mu_{lock_rank::kSnapshotEpoch, "
@@ -768,14 +783,24 @@ def _t_guarded_static():
 @_case("make_allowed honors same-line and preceding-line markers")
 def _t_allowed():
     lines = [
-        "// condsel-model: allow(lock-cycle)",
+        "// condsel: allow(lock-cycle)",
         "code here",
-        "other code  // condsel-lint: allow(include-hygiene)",
+        "other code  // condsel: allow(include-hygiene)",
+        "more code",
     ]
-    allowed = make_allowed(lines, [LINT_ALLOW_RE, MODEL_ALLOW_RE])
+    allowed = make_allowed(lines)
     assert allowed(1, "lock-cycle")
     assert allowed(2, "include-hygiene")
     assert not allowed(1, "include-hygiene")
+    assert not allowed(3, "lock-cycle")  # two lines below: out of reach
+
+
+@_case("LOCK_RANK_CONST_RE lines carry the acquire-path mark")
+def _t_acquire_path():
+    line = "inline constexpr int kEpoch = 30;  // condsel: acquire-path"
+    assert LOCK_RANK_CONST_RE.match(strip_line_comment(line))
+    assert ACQUIRE_PATH_RE.search(line)
+    assert not ACQUIRE_PATH_RE.search("inline constexpr int kX = 10;")
 
 
 _PARSE_CORPUS = """
@@ -799,9 +824,15 @@ class Memo {
  public:
   int Find(PredSet p) const { return table_.count(p); }
 
+  struct Group {
+    void Touch() { ++hits_; }
+  };
+
  private:
   int naked_ = 0;
 };
+
+void Memo::Group::Reset() {}
 
 Status Service::Submit(const std::string& tenant,
                        const Query& query) {
@@ -818,9 +849,20 @@ Status Service::Submit(const std::string& tenant,
 def _t_parse_defs():
     fns = parse_functions("src/x.cc", _PARSE_CORPUS)
     quals = [f.qual for f in fns]
-    assert quals == ["GetSelectivity::Compute", "Memo::Find",
-                     "Service::Submit"], quals
+    assert quals == ["GetSelectivity::Compute", "Memo::Find", "Group::Touch",
+                     "Group::Reset", "Service::Submit"], quals
     assert all(f.name != "Declared" for f in fns)
+
+
+@_case("parse_functions records each definition's full class scope")
+def _t_parse_scope():
+    scopes = {f.qual: f.scope
+              for f in parse_functions("src/x.cc", _PARSE_CORPUS)}
+    # Inline in a nested struct and out-of-line with a nested qualifier
+    # agree; the namespace is not part of the scope.
+    assert scopes["Group::Touch"] == "Memo::Group", scopes
+    assert scopes["Group::Reset"] == "Memo::Group", scopes
+    assert scopes["Memo::Find"] == "Memo", scopes
 
 
 @_case("parse_functions records CONDSEL_HOT, params, line spans")
@@ -858,7 +900,7 @@ def _t_parse_harvest():
 
 
 @_case("strip_code blanks strings and strips both comment styles")
-def _t_strip_code():
+def _t_code_stripping():
     code, blk = strip_code('x = "a // b {" + y; // tail', False)
     assert code == 'x = "" + y; ', code
     assert not blk

@@ -4,13 +4,13 @@
 #include "condsel/common/macros.h"
 #include "condsel/common/status.h"
 
-// condsel-lint: allow(include-hygiene)
+// condsel: allow(include-hygiene)
 #include <iostream>
 
 namespace condsel {
 
 StatusOr<int> Checked(int v) {
-  // condsel-lint: allow(check-justified)
+  // condsel: allow(check-justified)
   CONDSEL_CHECK(v != 3);
   return v;
 }

@@ -17,7 +17,7 @@ class Cache {
   std::mutex log_mu_;
   std::deque<int> log_ CONDSEL_GUARDED_BY(log_mu_);
   // Append-only; readers are bounded by the release store to hits_.
-  // condsel-model: allow(guarded-field)
+  // condsel: allow(guarded-field)
   std::deque<int> history_;
 };
 
