@@ -111,9 +111,9 @@ int main(int argc, char** argv) {
   PrintTable(header, rows);
   std::printf(
       "\nExpected shape: (sub-)millisecond cost per query, scaling\n"
-      "gracefully with the pool size and the join count. In our build the\n"
-      "split leans toward histogram manipulation (the bitmask DP makes\n"
-      "analysis very cheap); the paper's absolute budget (<6ms/query)\n"
+      "gracefully with the pool size and the join count. Analysis and\n"
+      "histogram manipulation cost about the same, analysis ahead on\n"
+      "7-way queries; the paper's absolute budget (<6ms/query)\n"
       "holds with a wide margin.\n");
   benchmark::Shutdown();
   return 0;

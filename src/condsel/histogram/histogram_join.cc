@@ -8,19 +8,19 @@
 namespace condsel {
 namespace {
 
-// Sub-bucket of `h` restricted to [lo, hi] under the continuous-values
-// assumption.
+// Sub-bucket of `b` restricted to [lo, hi] ⊆ [b.lo, b.hi] under the
+// continuous-values assumption.
 struct Slice {
   double frequency = 0.0;
   double distinct = 0.0;
 };
 
 Slice SliceBucket(const Bucket& b, int64_t lo, int64_t hi) {
+  // Width in double, like Bucket::Width(): hi - lo + 1 overflows int64 on
+  // a slice spanning more than 2^63 values.
+  const double frac =
+      (static_cast<double>(hi) - static_cast<double>(lo) + 1.0) / b.Width();
   Slice s;
-  const int64_t olo = std::max(lo, b.lo);
-  const int64_t ohi = std::min(hi, b.hi);
-  if (olo > ohi) return s;
-  const double frac = static_cast<double>(ohi - olo + 1) / b.Width();
   s.frequency = b.frequency * frac;
   s.distinct = b.distinct * frac;
   return s;
@@ -35,32 +35,27 @@ JoinEstimate JoinHistograms(const Histogram& h1, const Histogram& h2) {
     return out;
   }
 
-  // Collect the union of bucket boundaries; aligned intervals are the
-  // half-open spans between consecutive cut points. Using value cut points
-  // [lo, hi] inclusive: interval k is [cuts[k], cuts[k+1] - 1].
-  std::vector<int64_t> cuts;
-  for (const Histogram* h : {&h1, &h2}) {
-    for (const Bucket& b : h->buckets()) {
-      cuts.push_back(b.lo);
-      cuts.push_back(b.hi + 1);  // exclusive end
-    }
-  }
-  std::sort(cuts.begin(), cuts.end());
-  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
-
+  // The aligned intervals that lie inside a bucket of both histograms are
+  // exactly the non-empty overlaps [max(lo1, lo2), min(hi1, hi2)] of a
+  // bucket of h1 with a bucket of h2: each histogram's buckets are sorted
+  // and disjoint, so no other boundary of either side falls inside such an
+  // overlap. One merge over the two bucket lists visits them in order,
+  // retiring whichever bucket ends first (both when they end together).
+  // Every step retires a bucket, so there are at most b1 + b2 - 1 steps.
+  const std::vector<Bucket>& buckets1 = h1.buckets();
+  const std::vector<Bucket>& buckets2 = h2.buckets();
   std::vector<Bucket> result_buckets;
+  result_buckets.reserve(buckets1.size() + buckets2.size() - 1);
   double sel = 0.0;
   size_t i1 = 0, i2 = 0;
-  for (size_t k = 0; k + 1 < cuts.size(); ++k) {
-    const int64_t lo = cuts[k];
-    const int64_t hi = cuts[k + 1] - 1;
-    // Advance bucket cursors (buckets are sorted).
-    while (i1 < h1.num_buckets() && h1.buckets()[i1].hi < lo) ++i1;
-    while (i2 < h2.num_buckets() && h2.buckets()[i2].hi < lo) ++i2;
-    if (i1 >= h1.num_buckets() || i2 >= h2.num_buckets()) break;
-    const Bucket& b1 = h1.buckets()[i1];
-    const Bucket& b2 = h2.buckets()[i2];
-    if (b1.lo > hi || b2.lo > hi) continue;
+  while (i1 < buckets1.size() && i2 < buckets2.size()) {
+    const Bucket& b1 = buckets1[i1];
+    const Bucket& b2 = buckets2[i2];
+    const int64_t lo = std::max(b1.lo, b2.lo);
+    const int64_t hi = std::min(b1.hi, b2.hi);
+    if (b1.hi <= b2.hi) ++i1;
+    if (b2.hi <= b1.hi) ++i2;
+    if (lo > hi) continue;
 
     const Slice s1 = SliceBucket(b1, lo, hi);
     const Slice s2 = SliceBucket(b2, lo, hi);

@@ -9,6 +9,12 @@
 // interval, applies the containment/uniform-distinct assumption:
 //   sel += f1' * f2' / max(d1', d2')
 // where primes denote the fraction of the bucket falling in the interval.
+//
+// Both bucket lists are already sorted, so the aligned intervals come from
+// one linear merge of the two: O(b1 + b2) time and a single allocation,
+// the result's buckets. An open-ended bucket (hi == INT64_MAX) contributes
+// no end cut; the merge compares bucket ends instead of forming hi + 1, so
+// the last interval ends at INT64_MAX.
 
 #pragma once
 
