@@ -13,29 +13,7 @@
 using namespace condsel;        // NOLINT: bench brevity
 using namespace condsel::bench; // NOLINT: bench brevity
 
-namespace {
-
-// Per-query measurements for the JSON artifact: what CI tracks per PR.
-Json PerQueryJson(const WorkloadRunResult& r) {
-  Json arr = Json::Array();
-  for (const QueryRunResult& q : r.per_query) {
-    arr.Push(Json::Object()
-                 .Set("matcher_calls", q.matcher_calls)
-                 .Set("estimate_seconds", q.estimate_seconds)
-                 .Set("full_query_est", q.full_query_est)
-                 .Set("avg_abs_error", q.avg_abs_error));
-  }
-  return arr;
-}
-
-}  // namespace
-
 int main() {
-  if (const char* missed = AllocHookSelfTest()) {
-    std::fprintf(stderr, "alloc hook self-test failed: %s not counted\n",
-                 missed);
-    return 1;
-  }
   BenchEnv env;
   const int num_queries = EnvInt("CONDSEL_QUERIES", 20);
 
@@ -43,15 +21,11 @@ int main() {
   std::vector<std::string> header = {"workload", "#sub-plans", "GS calls",
                                      "GVM calls", "GVM/GS"};
   std::vector<std::vector<std::string>> rows;
-  Json workloads = Json::Array();
 
   for (int j = 3; j <= 7; ++j) {
     const std::vector<Query> workload = env.Workload(j, num_queries);
     const SitPool pool = GenerateSitPool(workload, j, *env.builder);
     Runner runner(&env.catalog, env.evaluator.get());
-    // Meter the estimate calls themselves; the whole-Run() windows below
-    // stay as the harness-inclusive trace (truth evaluation and all).
-    runner.set_alloc_counter(&AllocCount);
 
     double subplans = 0.0;
     for (const Query& q : workload) {
@@ -59,17 +33,10 @@ int main() {
     }
     subplans /= static_cast<double>(workload.size());
 
-    const uint64_t gs_alloc0 = AllocCount();
     const WorkloadRunResult gs =
         runner.Run(workload, pool, Technique::kGsNInd);
-    const double gs_allocs = static_cast<double>(AllocCount() - gs_alloc0) /
-                             static_cast<double>(workload.size());
-    const uint64_t gvm_alloc0 = AllocCount();
     const WorkloadRunResult gvm =
         runner.Run(workload, pool, Technique::kGvm);
-    const double gvm_allocs =
-        static_cast<double>(AllocCount() - gvm_alloc0) /
-        static_cast<double>(workload.size());
     const double ratio =
         gvm.avg_matcher_calls / std::max(1.0, gs.avg_matcher_calls);
     rows.push_back(
@@ -77,35 +44,8 @@ int main() {
          FormatDouble(gs.avg_matcher_calls, 1),
          FormatDouble(gvm.avg_matcher_calls, 1),
          FormatDouble(ratio, 2)});
-    workloads.Push(
-        Json::Object()
-            .Set("num_joins", j)
-            .Set("avg_subplans", subplans)
-            .Set("gvm_over_gs_calls", ratio)
-            .Set("gs",
-                 Json::Object()
-                     .Set("avg_matcher_calls", gs.avg_matcher_calls)
-                     .Set("avg_estimate_ms", gs.avg_estimate_ms)
-                     // Allocations inside the estimate calls only; the
-                     // harness figure also counts the exact-cardinality
-                     // evaluation each estimate is scored against.
-                     .Set("allocs_per_estimate", gs.avg_allocs_per_estimate)
-                     .Set("harness_allocs_per_query", gs_allocs)
-                     .Set("per_query", PerQueryJson(gs)))
-            .Set("gvm",
-                 Json::Object()
-                     .Set("avg_matcher_calls", gvm.avg_matcher_calls)
-                     .Set("avg_estimate_ms", gvm.avg_estimate_ms)
-                     .Set("allocs_per_estimate", gvm.avg_allocs_per_estimate)
-                     .Set("harness_allocs_per_query", gvm_allocs)
-                     .Set("per_query", PerQueryJson(gvm))));
   }
   PrintTable(header, rows);
-  WriteBenchJson("BENCH_fig6_efficiency.json",
-                 Json::Object()
-                     .Set("bench", "fig6_efficiency")
-                     .Set("num_queries", num_queries)
-                     .Set("workloads", std::move(workloads)));
   std::printf(
       "\nExpected shape: GVM's per-request greedy re-computation costs a\n"
       "multiple of getSelectivity's memoized search, growing with the\n"

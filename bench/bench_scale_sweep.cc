@@ -2,8 +2,7 @@
 // data scale (our substitution for the paper's full-size testbed runs at
 // a reduced default scale; see DESIGN.md). Runs the Figure 7 core —
 // noSit vs GVM vs GS-Diff at J0 and J2 — at three scales and reports the
-// improvement ratios, which should stay in the same band. Everything is
-// written to BENCH_scale_sweep.json so CI can track the trajectory.
+// improvement ratios, which should stay in the same band.
 
 #include <cstdio>
 #include <string>
@@ -20,7 +19,6 @@ int main() {
                                      "noSit err",    "GVM ratio",
                                      "GS-Diff ratio"};
   std::vector<std::vector<std::string>> rows;
-  Json scales = Json::Array();
 
   const std::vector<double> sweep = {0.005, 0.01, 0.03};
   for (const double scale : sweep) {
@@ -43,11 +41,8 @@ int main() {
         runner.Run(workload, pool, Technique::kNoSit);
     const WorkloadRunResult gvm_run =
         runner.Run(workload, pool, Technique::kGvm);
-    const uint64_t gs_alloc0 = AllocCount();
     const WorkloadRunResult gs_run =
         runner.Run(workload, pool, Technique::kGsDiff);
-    const double gs_allocs = static_cast<double>(AllocCount() - gs_alloc0) /
-                             static_cast<double>(workload.size());
     const double no_sit = no_sit_run.avg_abs_error;
     const double gvm = gvm_run.avg_abs_error;
     const double gs = gs_run.avg_abs_error;
@@ -60,31 +55,8 @@ int main() {
          FormatDouble(no_sit, 1),
          FormatDouble(no_sit > 0 ? gvm / no_sit : 1.0, 3),
          FormatDouble(no_sit > 0 ? gs / no_sit : 1.0, 3)});
-    Json per_query = Json::Array();
-    for (size_t i = 0; i < gs_run.per_query.size(); ++i) {
-      per_query.Push(
-          Json::Object()
-              .Set("estimate_seconds", gs_run.per_query[i].estimate_seconds)
-              .Set("full_query_est", gs_run.per_query[i].full_query_est)
-              .Set("full_query_true", gs_run.per_query[i].full_query_true));
-    }
-    scales.Push(
-        Json::Object()
-            .Set("scale", scale)
-            .Set("fact_rows",
-                 catalog.table(catalog.FindTable("fact")).num_rows())
-            .Set("nosit_avg_abs_error", no_sit)
-            .Set("gvm_ratio", no_sit > 0 ? gvm / no_sit : 1.0)
-            .Set("gs_diff_ratio", no_sit > 0 ? gs / no_sit : 1.0)
-            .Set("gs_diff_allocs_per_estimate", gs_allocs)
-            .Set("gs_diff_per_query", std::move(per_query)));
   }
   PrintTable(header, rows);
-
-  WriteBenchJson("BENCH_scale_sweep.json",
-                 Json::Object()
-                     .Set("bench", "scale_sweep")
-                     .Set("scales", std::move(scales)));
   std::printf(
       "\nExpected shape: absolute errors grow with scale while the\n"
       "improvement ratios hold or get *stronger* (skew effects compound\n"

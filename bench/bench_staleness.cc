@@ -1,7 +1,7 @@
 // Estimate freshness under churn: delta-maintained part statistics vs a
 // stale global pool.
 //
-// Two experiments, one artifact (BENCH_staleness.json):
+// Two experiments:
 //
 //  error-vs-staleness   A fact ⋈ dimension database takes rounds of
 //                       insert/delete churn whose inserts are drawn from
@@ -170,13 +170,11 @@ int main() {
   // refreshes statistics would keep serving.
   const SitPool stale_pool = *maintainer.MergedPool().value();
 
-  Json curve = Json::Array();
   std::printf("%-6s %12s %12s %10s %10s %8s\n", "round", "stale_err",
               "fresh_err", "rebuilt", "reused", "ms");
-  double final_stale = 0.0, final_fresh = 0.0;
   for (int round = 0; round <= rounds; ++round) {
     double delta_seconds = 0.0;
-    int parts_touched = 0, reused = 0, cross_pieces = 0;
+    int parts_touched = 0, reused = 0;
     if (round > 0) {
       const DeltaBatch batch = ChurnBatch(round, batch_rows);
       const auto t0 = Clock::now();
@@ -190,33 +188,18 @@ int main() {
       parts_touched = static_cast<int>(report.value().rebuilt_parts.size() +
                                        report.value().dropped_parts.size());
       reused = report.value().reused_entries;
-      cross_pieces = report.value().cross_table_pieces_rebuilt;
     }
     const SitPool fresh_pool = *maintainer.MergedPool().value();
     const double stale_err = MeanAbsError(catalog, stale_pool, workload);
     const double fresh_err = MeanAbsError(catalog, fresh_pool, workload);
-    final_stale = stale_err;
-    final_fresh = fresh_err;
     std::printf("%-6d %12.6f %12.6f %10d %10d %8.3f\n", round, stale_err,
                 fresh_err, parts_touched, reused, delta_seconds * 1000.0);
-
-    Json entry = Json::Object();
-    entry.Set("round", round)
-        .Set("rows", static_cast<uint64_t>(catalog.table(0).num_rows()))
-        .Set("stale_mean_abs_error", stale_err)
-        .Set("fresh_mean_abs_error", fresh_err)
-        .Set("parts_touched", parts_touched)
-        .Set("entries_reused", reused)
-        .Set("cross_table_pieces_rebuilt", cross_pieces)
-        .Set("apply_delta_seconds", delta_seconds);
-    curve.Push(std::move(entry));
   }
 
   // --- rebuild cost vs parts touched --------------------------------------
   // The same one-batch delta against tables of growing part counts: the
   // delta cost should stay flat (it touches one new part) while the full
   // rebuild cost grows with the table.
-  Json scaling = Json::Array();
   std::printf("\n%-8s %10s %14s %14s %10s\n", "parts", "rows",
               "build_all(ms)", "delta(ms)", "touched");
   for (const int p : {2, 4, 8, 16}) {
@@ -242,28 +225,6 @@ int main() {
     std::printf("%-8d %10zu %14.3f %14.3f %10d\n", p,
                 scaled.table(0).num_rows(), build_seconds * 1000.0,
                 delta_seconds * 1000.0, touched);
-
-    Json entry = Json::Object();
-    entry.Set("parts", p)
-        .Set("rows", static_cast<uint64_t>(scaled.table(0).num_rows()))
-        .Set("build_all_seconds", build_seconds)
-        .Set("apply_delta_seconds", delta_seconds)
-        .Set("parts_touched", touched)
-        .Set("entries_reused", report.value().reused_entries);
-    scaling.Push(std::move(entry));
   }
-
-  Json root = Json::Object();
-  root.Set("bench", "staleness")
-      .Set("parts", parts)
-      .Set("rows_per_part", rows_per_part)
-      .Set("rounds", rounds)
-      .Set("batch_rows", batch_rows)
-      .Set("final_stale_mean_abs_error", final_stale)
-      .Set("final_fresh_mean_abs_error", final_fresh)
-      .Set("fresh_beats_stale", final_fresh < final_stale)
-      .Set("error_vs_staleness", std::move(curve))
-      .Set("rebuild_cost", std::move(scaling));
-  WriteBenchJson("BENCH_staleness.json", root);
   return 0;
 }

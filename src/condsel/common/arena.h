@@ -3,9 +3,10 @@
 // One Arena lives inside each GetSelectivity instance and is Reset() at
 // the top of every Compute() call: the decomposer's per-subset candidate
 // lists bump-allocate out of it instead of hitting the global heap.
-// Blocks are retained across Reset(), so a warmed-up estimator reaches a
-// steady state of zero heap allocations per estimate — the BENCH_*.json
-// `allocs_per_estimate` metric this design targets.
+// Blocks are retained across Reset(), so a warmed-up estimator's
+// candidate lists cost no heap allocations; the benchmark suite's
+// `alloc.per_request` (bench/suite/) counts what a request still
+// allocates.
 //
 // Lifetime rule (lint-enforced as `arena-no-escape`): memory obtained
 // from an arena is scratch for the Compute() that allocated it. Nothing

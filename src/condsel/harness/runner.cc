@@ -83,8 +83,6 @@ WorkloadRunResult Runner::Run(const std::vector<Query>& workload,
     const auto t0 = Clock::now();
     for (PredSet plan : subplans) {
       double est_sel = 0.0;
-      const uint64_t alloc0 =
-          alloc_counter_ != nullptr ? alloc_counter_() : 0;
       switch (technique) {
         case Technique::kNoSit:
           est_sel = no_sit.Estimate(query, plan);
@@ -96,10 +94,6 @@ WorkloadRunResult Runner::Run(const std::vector<Query>& workload,
           est_sel = gs.Compute(plan).selectivity;
           break;
       }
-      if (alloc_counter_ != nullptr) {
-        qr.estimate_allocs += alloc_counter_() - alloc0;
-      }
-      ++qr.estimate_calls;
       const double cross = CrossProductCardinality(*catalog_, query, plan);
       const double est_card = est_sel * cross;
       const double true_card = evaluator_->Cardinality(query, plan);
@@ -124,8 +118,6 @@ WorkloadRunResult Runner::Run(const std::vector<Query>& workload,
 
   // Workload-level averages.
   const double n = static_cast<double>(result.per_query.size());
-  uint64_t total_allocs = 0;
-  uint64_t total_calls = 0;
   for (const QueryRunResult& qr : result.per_query) {
     result.avg_abs_error += qr.avg_abs_error / n;
     result.avg_matcher_calls +=
@@ -133,12 +125,6 @@ WorkloadRunResult Runner::Run(const std::vector<Query>& workload,
     result.avg_analysis_ms += qr.analysis_seconds * 1000.0 / n;
     result.avg_histogram_ms += qr.histogram_seconds * 1000.0 / n;
     result.avg_estimate_ms += qr.estimate_seconds * 1000.0 / n;
-    total_allocs += qr.estimate_allocs;
-    total_calls += qr.estimate_calls;
-  }
-  if (alloc_counter_ != nullptr && total_calls > 0) {
-    result.avg_allocs_per_estimate =
-        static_cast<double>(total_allocs) / static_cast<double>(total_calls);
   }
   return result;
 }

@@ -17,18 +17,12 @@ enum class Technique { kNoSit, kGvm, kGsNInd, kGsDiff, kGsOpt };
 
 const char* TechniqueName(Technique t);
 
-// Optional allocation probe (see set_alloc_counter below). The benches
-// pass their operator-new counter; library users leave it unset.
-using AllocCounterFn = uint64_t (*)();
-
 struct QueryRunResult {
   double avg_abs_error = 0.0;   // mean |est - true| over sub-plans
   double max_abs_error = 0.0;
   double full_query_true = 0.0;  // exact cardinality of the whole query
   double full_query_est = 0.0;
   uint64_t matcher_calls = 0;    // view-matching calls this query consumed
-  uint64_t estimate_calls = 0;   // sub-plan estimate requests issued
-  uint64_t estimate_allocs = 0;  // allocs inside those requests (counter set)
   double analysis_seconds = 0.0;   // GS techniques only
   double histogram_seconds = 0.0;  // GS techniques only
   double estimate_seconds = 0.0;   // wall time spent estimating
@@ -42,21 +36,11 @@ struct WorkloadRunResult {
   double avg_analysis_ms = 0.0;
   double avg_histogram_ms = 0.0;
   double avg_estimate_ms = 0.0;
-  // Total estimate_allocs / total estimate_calls, 0 when no counter is
-  // set. Unlike a window around the whole Run() call, this excludes the
-  // harness's own work — above all the exact-cardinality evaluation each
-  // estimate is scored against, which would otherwise dominate the count.
-  double avg_allocs_per_estimate = 0.0;
 };
 
 class Runner {
  public:
   Runner(const Catalog* catalog, Evaluator* evaluator);
-
-  // Meters allocations consumed by the estimate calls themselves (not
-  // the surrounding truth evaluation). `fn` must be monotonic, e.g. the
-  // bench operator-new counter; nullptr disables metering.
-  void set_alloc_counter(AllocCounterFn fn) { alloc_counter_ = fn; }
 
   // Runs `technique` with `pool` over the workload: for each query,
   // estimates every sub-plan's cardinality and scores it against the
@@ -67,7 +51,6 @@ class Runner {
  private:
   const Catalog* catalog_;
   Evaluator* evaluator_;
-  AllocCounterFn alloc_counter_ = nullptr;
 };
 
 }  // namespace condsel

@@ -116,8 +116,9 @@ TEST(SnowflakeTest, FkSkewProducesJoinMultiplicitySkew) {
   opt.zipf_theta = 1.0;
   const Catalog c = BuildSnowflake(opt);
   const Table& fact = c.table(c.FindTable("fact"));
+  const Column fk = fact.MaterializeColumn(0);
   std::map<int64_t, int> counts;
-  for (int64_t v : fact.MaterializeColumn(0).values()) ++counts[v];
+  for (int64_t v : fk.values()) ++counts[v];
   // Dimension row 0 must be referenced far more often than the median row.
   const Table& dim1 = c.table(c.FindTable("dim1"));
   const int64_t mid = static_cast<int64_t>(dim1.num_rows() / 2);
@@ -166,8 +167,9 @@ TEST(TpchLiteTest, NationSkew) {
   const Catalog c = BuildTpchLite(opt);
   const Table& cust = c.table(c.FindTable("customer"));
   const ColumnId nation = cust.schema().FindColumn("c_nation");
+  const Column nations = cust.MaterializeColumn(nation);
   size_t usa = 0;
-  for (int64_t v : cust.MaterializeColumn(nation).values()) usa += (v == 0);
+  for (int64_t v : nations.values()) usa += (v == 0);
   EXPECT_NEAR(static_cast<double>(usa) / static_cast<double>(cust.num_rows()),
               0.7, 0.05);
 }
