@@ -2,7 +2,8 @@
 //
 // One Arena lives inside each GetSelectivity instance and is Reset() at
 // the top of every Compute() call: the decomposer's per-subset candidate
-// lists bump-allocate out of it instead of hitting the global heap.
+// lists and the factor-estimate memo bump-allocate out of it instead of
+// hitting the global heap.
 // Blocks are retained across Reset(), so a warmed-up estimator's
 // candidate lists cost no heap allocations; the benchmark suite's
 // `alloc.per_request` (bench/suite/) counts what a request still

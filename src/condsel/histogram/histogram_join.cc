@@ -26,27 +26,21 @@ Slice SliceBucket(const Bucket& b, int64_t lo, int64_t hi) {
   return s;
 }
 
-}  // namespace
-
-JoinEstimate JoinHistograms(const Histogram& h1, const Histogram& h2) {
-  JoinEstimate out;
-  if (h1.empty() || h2.empty()) {
-    out.result = Histogram({}, 0.0);
-    return out;
-  }
-
-  // The aligned intervals that lie inside a bucket of both histograms are
-  // exactly the non-empty overlaps [max(lo1, lo2), min(hi1, hi2)] of a
-  // bucket of h1 with a bucket of h2: each histogram's buckets are sorted
-  // and disjoint, so no other boundary of either side falls inside such an
-  // overlap. One merge over the two bucket lists visits them in order,
-  // retiring whichever bucket ends first (both when they end together).
-  // Every step retires a bucket, so there are at most b1 + b2 - 1 steps.
+// The merge walk both kernels share. Calls fn(bucket) once per aligned
+// interval that carries join mass, in ascending order; the bucket's
+// frequency is the interval's unnormalized contribution to Sel(x = y).
+//
+// The aligned intervals that lie inside a bucket of both histograms are
+// exactly the non-empty overlaps [max(lo1, lo2), min(hi1, hi2)] of a
+// bucket of h1 with a bucket of h2: each histogram's buckets are sorted
+// and disjoint, so no other boundary of either side falls inside such an
+// overlap. One merge over the two bucket lists visits them in order,
+// retiring whichever bucket ends first (both when they end together).
+// Every step retires a bucket, so there are at most b1 + b2 - 1 steps.
+template <typename Fn>
+void ForEachOverlap(const Histogram& h1, const Histogram& h2, Fn&& fn) {
   const std::vector<Bucket>& buckets1 = h1.buckets();
   const std::vector<Bucket>& buckets2 = h2.buckets();
-  std::vector<Bucket> result_buckets;
-  result_buckets.reserve(buckets1.size() + buckets2.size() - 1);
-  double sel = 0.0;
   size_t i1 = 0, i2 = 0;
   while (i1 < buckets1.size() && i2 < buckets2.size()) {
     const Bucket& b1 = buckets1[i1];
@@ -61,16 +55,27 @@ JoinEstimate JoinHistograms(const Histogram& h1, const Histogram& h2) {
     const Slice s2 = SliceBucket(b2, lo, hi);
     const double dmax = std::max(s1.distinct, s2.distinct);
     if (dmax <= 0.0 || s1.frequency <= 0.0 || s2.frequency <= 0.0) continue;
-    const double contrib = s1.frequency * s2.frequency / dmax;
-    sel += contrib;
-
-    Bucket rb;
-    rb.lo = lo;
-    rb.hi = hi;
-    rb.frequency = contrib;  // normalized below
-    rb.distinct = std::min(s1.distinct, s2.distinct);
-    result_buckets.push_back(rb);
+    fn(Bucket{lo, hi, s1.frequency * s2.frequency / dmax,
+              std::min(s1.distinct, s2.distinct)});
   }
+}
+
+}  // namespace
+
+JoinEstimate JoinHistograms(const Histogram& h1, const Histogram& h2) {
+  JoinEstimate out;
+  if (h1.empty() || h2.empty()) {
+    out.result = Histogram({}, 0.0);
+    return out;
+  }
+
+  std::vector<Bucket> result_buckets;
+  result_buckets.reserve(h1.buckets().size() + h2.buckets().size() - 1);
+  double sel = 0.0;
+  ForEachOverlap(h1, h2, [&](const Bucket& b) {
+    sel += b.frequency;
+    result_buckets.push_back(b);  // frequency normalized below
+  });
 
   out.selectivity = SanitizeSelectivity(sel);
   if (sel > 0.0) {
@@ -82,6 +87,12 @@ JoinEstimate JoinHistograms(const Histogram& h1, const Histogram& h2) {
       out.selectivity);
   out.result = Histogram(std::move(result_buckets), join_card);
   return out;
+}
+
+double JoinSelectivity(const Histogram& h1, const Histogram& h2) {
+  double sel = 0.0;
+  ForEachOverlap(h1, h2, [&sel](const Bucket& b) { sel += b.frequency; });
+  return SanitizeSelectivity(sel);
 }
 
 }  // namespace condsel

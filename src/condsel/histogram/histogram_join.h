@@ -11,10 +11,15 @@
 // where primes denote the fraction of the bucket falling in the interval.
 //
 // Both bucket lists are already sorted, so the aligned intervals come from
-// one linear merge of the two: O(b1 + b2) time and a single allocation,
-// the result's buckets. An open-ended bucket (hi == INT64_MAX) contributes
-// no end cut; the merge compares bucket ends instead of forming hi + 1, so
-// the last interval ends at INT64_MAX.
+// one linear merge of the two: O(b1 + b2) time. An open-ended bucket
+// (hi == INT64_MAX) contributes no end cut; the merge compares bucket ends
+// instead of forming hi + 1, so the last interval ends at INT64_MAX.
+//
+// Two kernels share that one merge walk. JoinHistograms also builds the
+// result histogram (a single allocation, its buckets); JoinSelectivity
+// only sums, allocates nothing, and returns exactly
+// JoinHistograms(h1, h2).selectivity — the kernel for a join factor with
+// no further filter on its join column.
 
 #pragma once
 
@@ -34,5 +39,7 @@ struct JoinEstimate {
 
 JoinEstimate JoinHistograms(const Histogram& h1, const Histogram& h2);
 
-}  // namespace condsel
+// Sel(x = y) alone, bit-identical to JoinHistograms(h1, h2).selectivity.
+double JoinSelectivity(const Histogram& h1, const Histogram& h2);
 
+}  // namespace condsel

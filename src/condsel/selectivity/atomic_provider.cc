@@ -80,6 +80,20 @@ int BucketsInRangeMerged(const Sit& sit, int64_t lo, int64_t hi) {
   return n;
 }
 
+// Partitioned filter estimate: the pieces partition the source relation,
+// so the selectivity is the cardinality-weighted sum of per-piece
+// selectivities (one term with weight 1.0 when unpartitioned — the legacy
+// lookup, bit for bit). The raw histogram lookup does not sanitize; the
+// clamp here keeps a corrupted bucket from leaking a NaN factor into a
+// product (or a recorded derivation).
+CONDSEL_HOT double FilterSelectivity(const Sit& sit, const Predicate& f) {
+  double sel = 0.0;
+  ForEachPiece(sit, [&](const Histogram& h, double w) {
+    sel += w * h.RangeSelectivity(f.lo(), f.hi());
+  });
+  return SanitizeSelectivity(sel);
+}
+
 int NumPieces(const Sit& sit) {
   return static_cast<int>(sit.parts.size());
 }
@@ -211,7 +225,7 @@ CONDSEL_HOT FactorChoice AtomicSelectivityProvider::ScoreImpl(
   auto consider = [&](const SitVec& sits) {
     double estimate = -1.0;
     if (needs_estimate) {
-      estimate = EstimateWith(query, p, sits, /*provenance=*/nullptr);
+      estimate = EstimateWith(query, p, sits);
     }
     const double err =
         error_fn_->FactorError(query, p, cond, sits, estimate);
@@ -281,8 +295,7 @@ CONDSEL_HOT FactorChoice AtomicSelectivityProvider::ScoreImpl(
 }
 
 CONDSEL_HOT double AtomicSelectivityProvider::EstimateWith(
-    const Query& query, PredSet p, const SitVec& sits,
-    std::vector<FactorProvenance>* provenance) const {
+    const Query& query, PredSet p, const SitVec& sits) const {
   int join_pred;
   int filters[kMaxPredicates];
   int num_filters;
@@ -298,33 +311,12 @@ CONDSEL_HOT double AtomicSelectivityProvider::EstimateWith(
     const bool a_first = fa.column() == sit.attr;
     const Predicate& fx = a_first ? fa : fb;
     const Predicate& fy = a_first ? fb : fa;
-    if (provenance != nullptr) {
-      provenance->push_back(MakeProvenance(
-          sit, "sit-2d",
-          BucketsInRange2d(sit.histogram2d, fx.lo(), fx.hi(), fy.lo(),
-                           fy.hi())));
-    }
     return SanitizeSelectivity(sit.histogram2d.RangeSelectivity(
         fx.lo(), fx.hi(), fy.lo(), fy.hi()));
   }
   if (join_pred < 0) {
     CONDSEL_CHECK(sits.size() == 1);
-    const Sit& sit = *sits[0].sit;
-    const Predicate& f = query.predicate(filters[0]);
-    if (provenance != nullptr) {
-      provenance->push_back(
-          MakeProvenance(sit, sit.is_base() ? "base" : "sit-1d",
-                         BucketsInRangeMerged(sit, f.lo(), f.hi())));
-    }
-    // Partitioned filter estimate: the pieces partition the source
-    // relation, so the selectivity is the cardinality-weighted sum of
-    // per-piece selectivities (one term with weight 1.0 when
-    // unpartitioned — the legacy lookup, bit for bit).
-    double sel = 0.0;
-    ForEachPiece(sit, [&](const Histogram& h, double w) {
-      sel += w * h.RangeSelectivity(f.lo(), f.hi());
-    });
-    return SanitizeSelectivity(sel);
+    return FilterSelectivity(*sits[0].sit, query.predicate(filters[0]));
   }
 
   CONDSEL_CHECK(sits.size() == 2);
@@ -334,12 +326,17 @@ CONDSEL_HOT double AtomicSelectivityProvider::EstimateWith(
   // selectivity (fraction of the cross product) is Σ_pq w_p w_q sel_pq.
   // Remaining filters over the join attribute apply per pair on that
   // pair's result histogram (Example 3), which keeps the filter factor
-  // aligned with the piece pair it restricts. An unpartitioned side is a
-  // single pseudo-piece of weight 1.0, so the unpartitioned ×
+  // aligned with the piece pair it restricts; without such filters no
+  // result histogram is read, so none is built. An unpartitioned side is
+  // a single pseudo-piece of weight 1.0, so the unpartitioned ×
   // unpartitioned case reproduces the legacy computation exactly.
   double sel = 0.0;
   ForEachPiece(s0, [&](const Histogram& h0, double w0) {
     ForEachPiece(s1, [&](const Histogram& h1, double w1) {
+      if (num_filters == 0) {
+        sel += w0 * w1 * JoinSelectivity(h0, h1);
+        return;
+      }
       const JoinEstimate je = JoinHistograms(h0, h1);
       double pair_sel = je.selectivity;
       for (int k = 0; k < num_filters; ++k) {
@@ -349,17 +346,6 @@ CONDSEL_HOT double AtomicSelectivityProvider::EstimateWith(
       sel += w0 * w1 * pair_sel;
     });
   });
-  if (provenance != nullptr) {
-    // A histogram join walks every aligned bucket pair of its inputs
-    // (summed across pieces for a partitioned side).
-    for (const SitCandidate& c : sits) {
-      int buckets = 0;
-      ForEachPiece(*c.sit, [&](const Histogram& h, double) {
-        buckets += static_cast<int>(h.buckets().size());
-      });
-      provenance->push_back(MakeProvenance(*c.sit, "join-input", buckets));
-    }
-  }
   return SanitizeSelectivity(sel);
 }
 
@@ -367,17 +353,14 @@ CONDSEL_HOT double AtomicSelectivityProvider::Estimate(
     const Query& query, PredSet p, const FactorChoice& choice,
     std::vector<FactorProvenance>* provenance) const {
   CONDSEL_CHECK(choice.feasible);
-  if (choice.estimate >= 0.0) {
-    // Score() already computed the value (Opt ranking); only the
-    // description is (re)derived here.
-    if (provenance != nullptr) {
-      std::vector<FactorProvenance> described = Describe(query, p, choice);
-      provenance->insert(provenance->end(), described.begin(),
-                         described.end());
-    }
-    return choice.estimate;
+  if (provenance != nullptr) {
+    std::vector<FactorProvenance> described = Describe(query, p, choice);
+    provenance->insert(provenance->end(), described.begin(),
+                       described.end());
   }
-  return EstimateWith(query, p, choice.sits, provenance);
+  // Score() already computed the value under Opt ranking.
+  if (choice.estimate >= 0.0) return choice.estimate;
+  return EstimateWith(query, p, choice.sits);
 }
 
 std::vector<FactorProvenance> AtomicSelectivityProvider::Describe(
@@ -467,14 +450,7 @@ double AtomicSelectivityProvider::EstimateFilterWith(
         *cand.sit, cand.sit->is_base() ? "base" : "sit-1d",
         BucketsInRangeMerged(*cand.sit, f.lo(), f.hi()));
   }
-  // The raw histogram lookup does not sanitize — clamp here so a corrupted
-  // bucket cannot leak a NaN factor into a product (or a recorded
-  // derivation).
-  double sel = 0.0;
-  ForEachPiece(*cand.sit, [&](const Histogram& h, double w) {
-    sel += w * h.RangeSelectivity(f.lo(), f.hi());
-  });
-  return SanitizeSelectivity(sel);
+  return FilterSelectivity(*cand.sit, f);
 }
 
 }  // namespace condsel

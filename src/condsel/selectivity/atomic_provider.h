@@ -7,9 +7,9 @@
 // result, and reporting where the number came from. This class owns that
 // operation — SIT matching, histogram manipulation, SanitizeSelectivity,
 // the FaultInjector slow-lookup hook, and FactorProvenance reporting —
-// so no estimator reaches into Histogram::RangeSelectivity or
-// JoinHistograms directly (condsel_lint's no-raw-histogram-lookup rule
-// enforces this).
+// so no estimator reaches into Histogram::RangeSelectivity or the join
+// kernels (JoinHistograms, JoinSelectivity) directly (condsel_lint's
+// no-raw-histogram-lookup rule enforces this).
 //
 // Supported factor shapes for Sel(P' | Q) (Section 3.3):
 //  - P' = one filter predicate: one SIT over the filter's attribute;
@@ -18,9 +18,15 @@
 //    filters' correlation with no independence assumption between them;
 //  - P' = one join predicate: two SITs (one per side) combined with a
 //    histogram join (the wildcard transform of Sec 3.3 specialized to
-//    unidimensional SITs, which is what the paper's pools contain);
+//    unidimensional SITs, which is what the paper's pools contain). Only
+//    the join's selectivity is read, so the allocation-free
+//    JoinSelectivity kernel computes it;
 //  - P' = one join plus filters over the join's own columns: histogram
-//    join followed by range estimation on the result (Example 3).
+//    join followed by range estimation on the result (Example 3), the
+//    one shape that builds a result histogram (JoinHistograms).
+// A partitioned SIT is estimated piece by piece and the pieces'
+// estimates are combined by cardinality weight (ForEachPiece in the .cc):
+// one range lookup per filter piece, one kernel call per join piece pair.
 // Any other multi-predicate P' would need a multidimensional SIT and is
 // reported infeasible (error = infinity), exactly as getSelectivity's
 // line 12 treats factors with no applicable statistics — the DP then
@@ -94,9 +100,9 @@ class AtomicSelectivityProvider {
                      ScoreScratch* scratch = nullptr);
 
   // Histogram manipulation: evaluates the estimate of Sel(P' | Q) with
-  // the chosen SITs. When `provenance` is non-null it is filled with one
-  // record per chosen SIT (the strings are only built on request; pass
-  // null on hot paths that do not record derivations).
+  // the chosen SITs. When `provenance` is non-null, Describe's records
+  // (one per chosen SIT) are appended to it (the strings are only built
+  // on request; pass null on hot paths that do not record derivations).
   double Estimate(const Query& query, PredSet p, const FactorChoice& choice,
                   std::vector<FactorProvenance>* provenance = nullptr) const;
 
@@ -150,8 +156,9 @@ class AtomicSelectivityProvider {
   bool SplitShape(const Query& query, PredSet p, int* join_pred,
                   int filter_preds[], int* num_filters) const;
 
-  double EstimateWith(const Query& query, PredSet p, const SitVec& sits,
-                      std::vector<FactorProvenance>* provenance) const;
+  // The estimate itself, sanitized; Estimate adds the provenance
+  // (Describe) on request.
+  double EstimateWith(const Query& query, PredSet p, const SitVec& sits) const;
 
   SitMatcher* matcher_;
   const ErrorFunction* error_fn_;

@@ -1,5 +1,6 @@
 #include "condsel/selectivity/get_selectivity.h"
 
+#include <bit>
 #include <chrono>
 #include <utility>
 
@@ -52,6 +53,8 @@ CONDSEL_HOT SelEstimate GetSelectivity::Compute(PredSet p) {
   // list the previous call carved out is dead by contract, because no
   // arena pointer escapes a Compute() call.
   arena_.Reset();
+  factor_estimates_ = ArenaVector<FactorEstimate>(&arena_);
+  factor_heads_.fill(-1);
   const MemoEntry& e = ComputeEntry(p);
   return SelEstimate{e.selectivity, e.error};
 }
@@ -89,6 +92,27 @@ CONDSEL_HOT void GetSelectivity::EnumerateCandidates(
     // into every later structurally identical statement.
     if (!truncated) shape_->StoreCandidates(p, *out);
   }
+}
+
+CONDSEL_HOT double GetSelectivity::EstimateFactor(
+    PredSet p_prime, const FactorChoice& choice) {
+  static_assert(SitVec::kCapacity == 2);
+  const Sit* s0 = choice.sits[0].sit;
+  const Sit* s1 = choice.sits.size() > 1 ? choice.sits[1].sit : nullptr;
+  int32_t& head = factor_heads_[std::countr_zero(p_prime)];
+  for (int32_t i = head; i >= 0; i = factor_estimates_[i].next) {
+    const FactorEstimate& e = factor_estimates_[i];
+    if (e.p_prime == p_prime && e.sits[0] == s0 && e.sits[1] == s1) {
+      // Stored sanitized below; a hit returns those bits unchanged.
+      // condsel: allow(sanitize-flow)
+      return e.selectivity;
+    }
+  }
+  const double sel =
+      SanitizeSelectivity(provider_->Estimate(*query_, p_prime, choice));
+  factor_estimates_.Append(FactorEstimate{p_prime, head, {s0, s1}, sel});
+  head = static_cast<int32_t>(factor_estimates_.size() - 1);
+  return sel;
 }
 
 CONDSEL_HOT MemoEntry GetSelectivity::DegradedEntry(PredSet p,
@@ -230,8 +254,7 @@ CONDSEL_HOT MemoEntry GetSelectivity::SolveNonSeparable(
   // Lines 16-17: estimate the winning factor with its chosen SITs
   // (histogram manipulation) and combine with the tail's estimate.
   const auto t2 = Clock::now();
-  const double factor_sel = SanitizeSelectivity(
-      provider_->Estimate(*query_, best_p_prime, best_choice));
+  const double factor_sel = EstimateFactor(best_p_prime, best_choice);
   counters_.histogram_seconds.fetch_add(Seconds(t2, Clock::now()),
                                         std::memory_order_relaxed);
   // A memo hit: the tail was solved when the winner scored.

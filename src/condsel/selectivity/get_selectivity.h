@@ -38,6 +38,7 @@
 
 #pragma once
 
+#include <array>
 #include <string>
 
 #include "condsel/analysis/derivation.h"
@@ -107,6 +108,10 @@ class GetSelectivity {
   // cold one enumerates and (if the pass was not deadline-truncated)
   // stores it. Cached and fresh lists are bit-identical by construction.
   void EnumerateCandidates(PredSet p, ArenaVector<PredSet>* out);
+  // Sel(P' | Q) of a winning factor with its chosen SITs, sanitized:
+  // served from factor_estimates_ when this Compute() already estimated
+  // the same (P', SITs) pair, else estimated by the provider and stored.
+  double EstimateFactor(PredSet p_prime, const FactorChoice& choice);
   // Independence-assumption fallback entry for `p` (the noSit path).
   MemoEntry DegradedEntry(PredSet p, FallbackReason reason);
   // Base-histogram estimate of one predicate; neutral 1.0 when no base
@@ -128,6 +133,24 @@ class GetSelectivity {
   // Compute() call that allocated it — memo entries store everything
   // inline (ComponentList, SitVec) for exactly this reason.
   Arena arena_;
+  // One memoized factor estimate. For a bound query, Estimate is a pure
+  // function of P' and the chosen Sit pointers, and many subsets of one
+  // DP pick the same winner (the same join over the same two base
+  // histograms, under different tails).
+  struct FactorEstimate {
+    PredSet p_prime;
+    int32_t next;  // next entry with the same lowest predicate; -1 ends
+    const Sit* sits[SitVec::kCapacity];  // unused slots are null
+    double selectivity;
+  };
+  // The per-Compute() factor-estimate memo: arena-backed, chained from
+  // factor_heads_ by the lowest predicate of P', so a lookup scans only
+  // the entries sharing it rather than every entry of the DP (hundreds on
+  // a 7-join statement). Re-created empty right after arena_.Reset() at
+  // the top of every Compute(), so no entry outlives the call, and with
+  // it the statistics generation its Sit pointers belong to.
+  ArenaVector<FactorEstimate> factor_estimates_{&arena_};
+  std::array<int32_t, kMaxPredicates> factor_heads_{};
   // Candidate-list scratch for Score calls.
   ScoreScratch scratch_;
   BudgetCounters counters_;

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <utility>
+#include <vector>
+
+#include "condsel/histogram/histogram_join.h"
 #include "condsel/selectivity/atomic_provider.h"
 #include "condsel/sit/sit_builder.h"
 #include "test_util.h"
@@ -167,6 +172,103 @@ TEST_F(FactorApproxTest, JoinPlusFilterEstimate) {
   // Histogram join result distribution is exact per-value here; accept
   // small slack from sub-bucket alignment.
   EXPECT_NEAR(est, exact, 0.02);
+}
+
+// A base statistic on `attr` split into per-part pieces (one piece: an
+// unpartitioned statistic). Estimation reads only the pieces; the merged
+// summary in `histogram` is left empty.
+Sit BaseSitFromPieces(ColumnRef attr, std::vector<Histogram> pieces) {
+  Sit sit;
+  sit.attr = attr;
+  if (pieces.size() == 1) {
+    sit.histogram = std::move(pieces.front());
+    return sit;
+  }
+  for (size_t k = 0; k < pieces.size(); ++k) {
+    SitPart part;
+    part.part = static_cast<PartId>(k);
+    part.histogram = std::move(pieces[k]);
+    sit.parts.push_back(std::move(part));
+  }
+  return sit;
+}
+
+// Σ_pq w_p·w_q·sel_pq written out, w being a piece's share of its
+// statistic's rows and sel_pq the piece pair's join selectivity — times
+// the pair result's RangeSelectivity when `filter` (on the join column)
+// is given.
+double WeightedPiecePairSum(const Sit& l, const Sit& r,
+                            const Predicate* filter) {
+  const auto weighted = [](const Sit& s) {
+    std::vector<std::pair<const Histogram*, double>> out;
+    if (!s.is_partitioned()) {
+      out.emplace_back(&s.histogram, 1.0);
+      return out;
+    }
+    double total = 0.0;
+    for (const SitPart& p : s.parts) total += p.histogram.source_cardinality();
+    for (const SitPart& p : s.parts) {
+      out.emplace_back(&p.histogram, p.histogram.source_cardinality() / total);
+    }
+    return out;
+  };
+  double sel = 0.0;
+  for (const auto& [hl, wl] : weighted(l)) {
+    for (const auto& [hr, wr] : weighted(r)) {
+      const JoinEstimate je = JoinHistograms(*hl, *hr);
+      double pair = je.selectivity;
+      if (filter != nullptr) {
+        pair *= je.result.RangeSelectivity(filter->lo(), filter->hi());
+      }
+      sel += wl * wr * pair;
+    }
+  }
+  return sel;
+}
+
+TEST_F(FactorApproxTest, PartitionedJoinEqualsWeightedPiecePairSum) {
+  // Four R.x pieces of unequal row counts over overlapping ranges.
+  const Sit left = BaseSitFromPieces(
+      Rx(), {Histogram({Bucket{0, 9, 0.6, 5.0}, Bucket{10, 19, 0.4, 6.0}},
+                       50.0),
+             Histogram({Bucket{5, 14, 1.0, 8.0}}, 30.0),
+             Histogram({Bucket{0, 4, 0.3, 5.0}, Bucket{15, 29, 0.7, 9.0}},
+                       70.0),
+             Histogram({Bucket{20, 39, 1.0, 12.0}}, 20.0)});
+  const Sit flat_right = BaseSitFromPieces(
+      Sy(), {Histogram({Bucket{0, 14, 0.5, 10.0}, Bucket{15, 29, 0.5, 10.0}},
+                       100.0)});
+  const Sit split_right = BaseSitFromPieces(
+      Sy(), {Histogram({Bucket{0, 7, 1.0, 8.0}}, 40.0),
+             Histogram({Bucket{3, 11, 0.25, 4.0}, Bucket{12, 25, 0.75, 9.0}},
+                       25.0),
+             Histogram({Bucket{18, 33, 1.0, 7.0}}, 60.0)});
+  const Query join_only({Predicate::Join(Rx(), Sy())});
+  const Query filtered(
+      {Predicate::Join(Rx(), Sy()), Predicate::Filter(Rx(), 8, 22)});
+
+  for (const Sit* right : {&flat_right, &split_right}) {
+    SitPool pool;
+    pool.Add(left);
+    pool.Add(*right);
+    SitMatcher matcher(&pool);
+    AtomicSelectivityProvider fa(&matcher, &n_ind_);
+    for (const Query* q : {&join_only, &filtered}) {
+      matcher.BindQuery(q);
+      const PredSet factor = q->all_predicates();
+      const FactorChoice c = fa.Score(*q, factor, 0);
+      ASSERT_TRUE(c.feasible);
+      const Predicate* filter = q == &filtered ? &q->predicate(1) : nullptr;
+      const double got = fa.Estimate(*q, factor, c);
+      const double want = WeightedPiecePairSum(*c.sits[0].sit,
+                                               *c.sits[1].sit, filter);
+      EXPECT_GT(want, 0.0);
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+          << (right == &flat_right ? "4 x 1" : "4 x 3") << " pieces, "
+          << (filter != nullptr ? "filtered" : "unfiltered") << ": got "
+          << got << ", want " << want;
+    }
+  }
 }
 
 }  // namespace

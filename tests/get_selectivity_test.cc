@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "condsel/analysis/derivation.h"
 #include "condsel/exec/evaluator.h"
 #include "condsel/selectivity/exhaustive.h"
 #include "condsel/selectivity/get_selectivity.h"
@@ -185,6 +188,44 @@ TEST_F(GetSelectivityTest, ExplainMentionsChosenSits) {
   const std::string explain = gs.Explain(query_.all_predicates());
   EXPECT_NE(explain.find("Sel("), std::string::npos);
   EXPECT_NE(explain.find("sit#"), std::string::npos);
+}
+
+TEST_F(GetSelectivityTest, FactorEstimateMemoKeysOnTheChosenSits) {
+  // One DP in which the factor {p0} (the filter on R.a) wins twice with
+  // different statistics: under a tail holding the join p1 it takes
+  // SIT(R.a | p1); alone it takes the base histogram. The per-Compute()
+  // factor-estimate memo must keep the two apart: every recorded factor
+  // equals a direct Estimate of its own choice, bit for bit.
+  BuildPool(1);
+  AtomicSelectivityProvider fa(&matcher_, &n_ind_);
+  GetSelectivity gs(&query_, &fa);
+  DerivationDag dag;
+  gs.set_recorder(&dag);
+  gs.Compute(query_.all_predicates());
+
+  bool head_p0_base = false;
+  bool head_p0_conditioned = false;
+  int factors = 0;
+  for (const DerivationNode& node : dag.nodes()) {
+    if (node.kind != DerivKind::kConditionalFactor) continue;
+    ++factors;
+    FactorChoice choice;
+    choice.feasible = true;
+    for (const SitApplication& app : node.sits) {
+      choice.sits.Append({&pool_.sit(app.sit_id), app.hypothesis});
+      if (node.head == 0b0001) {
+        (app.is_base ? head_p0_base : head_p0_conditioned) = true;
+      }
+    }
+    const double direct = fa.Estimate(query_, node.head, choice);
+    EXPECT_EQ(std::memcmp(&direct, &node.head_selectivity, sizeof(double)),
+              0)
+        << "subset " << node.subset << " head " << node.head << ": memo "
+        << node.head_selectivity << ", direct " << direct;
+  }
+  EXPECT_GT(factors, 2);
+  EXPECT_TRUE(head_p0_base);
+  EXPECT_TRUE(head_p0_conditioned);
 }
 
 TEST_F(GetSelectivityTest, TimingSplitAccumulates) {

@@ -107,14 +107,17 @@ bool SameBits(double a, double b) {
 }
 
 // JoinHistograms(h1, h2) equals the oracle bit for bit: selectivity,
-// source cardinality and every result bucket.
+// source cardinality and every result bucket. The selectivity-only
+// kernel JoinSelectivity(h1, h2) equals the oracle's selectivity.
 ::testing::AssertionResult MatchesOracle(const Histogram& h1,
                                          const Histogram& h2) {
   const JoinEstimate got = JoinHistograms(h1, h2);
+  const double got_sel = JoinSelectivity(h1, h2);
   const JoinEstimate want = SortedCutJoin(h1, h2);
   const std::vector<Bucket>& gb = got.result.buckets();
   const std::vector<Bucket>& wb = want.result.buckets();
   if (SameBits(got.selectivity, want.selectivity) &&
+      SameBits(got_sel, want.selectivity) &&
       SameBits(got.result.source_cardinality(),
                want.result.source_cardinality()) &&
       gb.size() == wb.size() &&
@@ -124,7 +127,8 @@ bool SameBits(double a, double b) {
   }
   return ::testing::AssertionFailure()
          << "join of " << h1.ToString() << " with " << h2.ToString()
-         << "\n  got  sel=" << got.selectivity << " " << got.result.ToString()
+         << "\n  got  sel=" << got.selectivity << " (selectivity-only "
+         << got_sel << ") " << got.result.ToString()
          << "\n  want sel=" << want.selectivity << " "
          << want.result.ToString();
 }
@@ -234,6 +238,7 @@ TEST(HistogramJoinTest, ExtremeBoundsDoNotOverflow) {
                        1000.0);
   const JoinEstimate self = JoinHistograms(wide, wide);
   EXPECT_DOUBLE_EQ(self.selectivity, 0.001);
+  EXPECT_TRUE(SameBits(JoinSelectivity(wide, wide), self.selectivity));
   ASSERT_EQ(self.result.num_buckets(), 1u);
   EXPECT_EQ(self.result.buckets()[0].lo, kMin / 2 - 10);
   EXPECT_EQ(self.result.buckets()[0].hi, kMax / 2 + 10);
@@ -252,8 +257,11 @@ TEST(HistogramJoinTest, ExtremeBoundsDoNotOverflow) {
                                   : JoinHistograms(open_ended, probe);
     const JoinEstimate want = swap ? JoinHistograms(probe, closed)
                                    : JoinHistograms(closed, probe);
+    const double got_sel = swap ? JoinSelectivity(probe, open_ended)
+                                : JoinSelectivity(open_ended, probe);
     EXPECT_GT(got.selectivity, 0.0);
     EXPECT_TRUE(SameBits(got.selectivity, want.selectivity));
+    EXPECT_TRUE(SameBits(got_sel, want.selectivity));
     EXPECT_TRUE(SameBits(got.result.source_cardinality(),
                          want.result.source_cardinality()));
     ASSERT_EQ(got.result.num_buckets(), 2u);

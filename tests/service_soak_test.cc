@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -264,7 +265,16 @@ TEST_F(ServiceSoakTest, PinnedEpochSurvivesRefreshStorm) {
   const Query& q = workload_.front();
   double first = -1.0;
   uint64_t distinct_epochs = 0, last_epoch = 0;
-  for (int i = 0; i < 40; ++i) {
+  // At least 40 submits, and on until the storm has rotated the epoch
+  // under us: on a loaded host 40 fast submits can finish before the
+  // refresher's first swap. Bounded, so a stalled refresher fails the
+  // rotation check below instead of hanging.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (int i = 0;
+       i < 40 || (distinct_epochs < 2 &&
+                  std::chrono::steady_clock::now() < give_up);
+       ++i) {
     const StatusOr<ServiceEstimate> r = service.Submit("t", q);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     if (r.value().epoch != last_epoch) {

@@ -469,7 +469,8 @@ def check_deadline_flow(model: FlowModel) -> list[Finding]:
 TAINT_SOURCE_RE = re.compile(
     r"(?:->|\.)\s*(?:Estimate|EstimateWith|EstimateFilterWith|Score)\s*\(|"
     r"\bRangeSelectivity\s*\(|\bEqualsSelectivity\s*\(|"
-    r"\bJoinHistograms\s*\(|(?:\.|->)\s*selectivity\b")
+    r"\b(?:JoinHistograms|JoinSelectivity)\s*\(|"
+    r"(?:\.|->)\s*selectivity\b")
 SANITIZE_WRAP_RE = re.compile(
     r"^\s*(?:::)?(?:condsel::)?Sanitize(?:Selectivity|Cardinality)\s*\(")
 SINK_FIELD_RE = re.compile(
@@ -510,7 +511,11 @@ def _sanitizing_functions(model: FlowModel) -> set[str]:
 
 def check_sanitize_flow(model: FlowModel, taint_edges: list) -> list[Finding]:
     findings: list[Finding] = []
-    sanitizers = _sanitizing_functions(model)
+    # A kernel named in TAINT_SOURCE_RE stays a source even when it
+    # sanitizes its own return (JoinSelectivity): a per-piece sum of
+    # clamped values is not itself clamped.
+    sanitizers = {name for name in _sanitizing_functions(model)
+                  if not TAINT_SOURCE_RE.search(name + "(")}
 
     def scrub(expr: str) -> str:
         # Calls to always-sanitizing functions are clean: blank them out

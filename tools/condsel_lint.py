@@ -40,7 +40,8 @@ comment on the same or the preceding line):
   no-raw-histogram-lookup
                         estimator code (src/condsel/{selectivity,baselines,
                         optimizer}/) must not call the histogram selectivity
-                        accessors (RangeSelectivity / EqualsSelectivity),
+                        accessors (RangeSelectivity / EqualsSelectivity)
+                        or join kernels (JoinHistograms / JoinSelectivity),
                         read a SIT's per-part piece vector (`sit.parts`),
                         or touch PartStatsSet/PartStatsEntry directly —
                         AtomicSelectivityProvider
@@ -236,6 +237,8 @@ def check_nodiscard_status(path: str, text: str,
 
 RAW_HISTOGRAM_RE = re.compile(
     r"(?:\.|->)\s*(RangeSelectivity|EqualsSelectivity)\s*\(")
+# The free histogram-join kernels (histogram/histogram_join.h).
+RAW_JOIN_KERNEL_RE = re.compile(r"\b(JoinHistograms|JoinSelectivity)\s*\(")
 # Partitioned statistics: a Sit's per-part piece vector and the stored
 # PartStatsSet/PartStatsEntry containers. Estimator code reading these
 # directly would re-implement the cardinality-weighted merge (and skip
@@ -257,10 +260,12 @@ def check_raw_histogram_lookup(path: str, text: str,
     for i, line in enumerate(lines):
         code = line.split("//")[0]
         m = RAW_HISTOGRAM_RE.search(code)
+        join = RAW_JOIN_KERNEL_RE.search(code)
         part_reason = None
-        if m:
+        if m or join:
+            name = f"Histogram::{m.group(1)}" if m else join.group(1)
             part_reason = (
-                f"estimator code calls Histogram::{m.group(1)} directly; "
+                f"estimator code calls {name} directly; "
                 "route the lookup through AtomicSelectivityProvider so "
                 "sanitization, fault hooks, and provenance apply")
         elif RAW_PART_PIECES_RE.search(code):
