@@ -1,8 +1,9 @@
 // Figure 8 (a, b, c): execution time of getSelectivity (GS-Diff) per
-// query, split into decomposition analysis (search + view matching +
-// ranking) and histogram manipulation (estimating with the chosen SITs),
-// as the SIT pool grows. Uses google-benchmark for the measurements and
-// prints the paper-style split table at the end.
+// query, split into decomposition analysis and histogram manipulation
+// (the provider's Estimate calls with the chosen SITs), as the SIT pool
+// grows. Analysis is the rest of Compute()'s wall time: search, memo,
+// enumeration, view matching and ranking. Uses google-benchmark for the
+// measurements and prints the paper-style split table at the end.
 //
 // Paper's shape: single-digit milliseconds per query, growing mildly
 // with the pool size.
@@ -111,10 +112,10 @@ int main(int argc, char** argv) {
   PrintTable(header, rows);
   std::printf(
       "\nExpected shape: (sub-)millisecond cost per query, scaling\n"
-      "gracefully with the pool size and the join count. Analysis\n"
-      "dominates, histogram manipulation costing a third to a half of\n"
-      "it, since each DP estimates a (factor, SITs) pair once. The\n"
-      "paper's absolute budget (<6ms/query) holds with a wide margin.\n");
+      "gracefully with the pool size and the join count. Analysis,\n"
+      "everything outside the Estimate calls, dominates; each DP\n"
+      "estimates a (factor, SITs) pair once. The paper's absolute\n"
+      "budget (<6ms/query) holds with a wide margin.\n");
   benchmark::Shutdown();
   return 0;
 }

@@ -1,22 +1,37 @@
 #include "condsel/selectivity/budget.h"
 
+#include <algorithm>
+#include <limits>
+
 #include "condsel/common/fault_injector.h"
 
 namespace condsel {
 
 void Deadline::Arm(double seconds) {
-  if (seconds <= 0.0) {
+  using Clock = std::chrono::steady_clock;
+  const double ticks =
+      std::chrono::duration<double, Clock::period>(
+          std::chrono::duration<double>(seconds))
+          .count();
+  // NaN fails this test, so it disarms like seconds <= 0.
+  if (!(ticks > 0.0)) {
     Disarm();
     return;
   }
-  const auto at =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(seconds));
+  const Rep now = Clock::now().time_since_epoch().count();
+  const Rep room = std::numeric_limits<Rep>::max() - now;
+  // A deadline the clock cannot represent, +inf included, is no deadline
+  // either. The test runs on doubles: casting such a count would overflow.
+  if (!(ticks < static_cast<double>(room))) {
+    Disarm();
+    return;
+  }
+  // `room` rounded to a double, so clamp the cast count to it.
+  const Rep at = now + std::min(static_cast<Rep>(ticks), room);
   // Publication contract (budget.h): the expiry instant is stored before
   // armed_ is released, so a reader that acquires armed_ == true never
   // sees a stale instant.
-  at_.store(at.time_since_epoch().count(), std::memory_order_relaxed);
+  at_.store(at, std::memory_order_relaxed);
   armed_.store(true, std::memory_order_release);
 }
 
@@ -30,19 +45,18 @@ bool Deadline::Expired() const {
   return std::chrono::steady_clock::now() >= at;
 }
 
-void BudgetCounters::Add(GsStats* out) const {
-  out->subproblems = subproblems.load(std::memory_order_relaxed);
-  out->memo_hits = memo_hits.load(std::memory_order_relaxed);
-  out->atomic_considered = atomic_considered.load(std::memory_order_relaxed);
-  out->degraded_subproblems =
-      degraded_subproblems.load(std::memory_order_relaxed);
-  out->default_fallbacks = default_fallbacks.load(std::memory_order_relaxed);
-  out->shape_cache_hits = shape_cache_hits.load(std::memory_order_relaxed);
-  out->shape_cache_misses =
-      shape_cache_misses.load(std::memory_order_relaxed);
-  out->budget_exhausted = budget_exhausted.load(std::memory_order_relaxed);
-  out->analysis_seconds = analysis_seconds.load(std::memory_order_relaxed);
-  out->histogram_seconds = histogram_seconds.load(std::memory_order_relaxed);
+bool BudgetExhausted(const EstimationBudget* budget, const GsStats& stats,
+                     const Deadline& deadline) {
+  if (budget == nullptr) return false;
+  if (budget->max_subproblems > 0 &&
+      stats.subproblems >= budget->max_subproblems) {
+    return true;
+  }
+  if (budget->max_atomic_decompositions > 0 &&
+      stats.atomic_considered >= budget->max_atomic_decompositions) {
+    return true;
+  }
+  return deadline.Expired();
 }
 
 bool BudgetExhausted(const EstimationBudget* budget,

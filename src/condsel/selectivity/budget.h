@@ -9,9 +9,9 @@
 //     subproblem), safely re-armable while readers run;
 //   - ScopedDeadline: RAII arm/disarm, so no early return or exception
 //     can leave a deadline armed past the call it was meant to bound;
-//   - BudgetCounters: the search's cumulative counters as relaxed atomics,
-//     readable race-free while the search runs (the driver pays only
-//     uncontended increments).
+//   - BudgetExhausted: whether any knob has run out, read from the
+//     search's own GsStats. Those counters are plain integers: only the
+//     thread running a search updates or reads them.
 //
 // Deadlines are per-call state: the driver owning a Compute() call arms
 // its own Deadline and passes it down explicitly (Score's deadline
@@ -51,8 +51,11 @@ struct GsStats {
                                     // (degraded entries excluded)
   uint64_t memo_hits = 0;           // lookups answered from the memo
   uint64_t atomic_considered = 0;   // atomic decompositions scored
-  double analysis_seconds = 0.0;    // search + view matching + ranking
-  double histogram_seconds = 0.0;   // estimation with the chosen SITs
+  // Fig. 8's split. histogram_seconds times the provider's Estimate calls
+  // with the chosen SITs; analysis_seconds is the rest of each Compute()
+  // call's wall time: search, memo, enumeration, view matching, ranking.
+  double analysis_seconds = 0.0;
+  double histogram_seconds = 0.0;
   // Robustness accounting:
   bool budget_exhausted = false;       // some knob of the budget ran out
   uint64_t degraded_subproblems = 0;   // entries answered by the fallback
@@ -77,7 +80,8 @@ struct GsStats {
 // hook so tests can fire the clock deterministically.
 class Deadline {
  public:
-  // Arms `seconds` from now; seconds <= 0 disarms.
+  // Arms `seconds` from now. seconds <= 0, NaN, and a deadline past the
+  // clock's range (+inf included) all mean no deadline: they disarm.
   void Arm(double seconds);
   void Disarm() { armed_.store(false, std::memory_order_release); }
 
@@ -110,8 +114,16 @@ class ScopedDeadline {
   Deadline* deadline_;
 };
 
-// The budget-relevant counters of a search. Mirrored into GsStats via
-// Add().
+// True when any knob of `budget` has run out for the search whose
+// counters are `stats`. `budget` may be null (unlimited).
+bool BudgetExhausted(const EstimationBudget* budget, const GsStats& stats,
+                     const Deadline& deadline);
+
+// The atomic counters of the parallel driver that was deleted, and their
+// BudgetExhausted overload. Nothing in src/ uses them: they stay only
+// because the benchmark suite's TimeBookkeeping (bench/suite/layers.cc)
+// still compiles against them. ROADMAP item 2, which replaces that model
+// with probes in the real driver, deletes both.
 struct BudgetCounters {
   std::atomic<uint64_t> subproblems{0};
   std::atomic<uint64_t> memo_hits{0};
@@ -123,12 +135,8 @@ struct BudgetCounters {
   std::atomic<bool> budget_exhausted{false};
   std::atomic<double> analysis_seconds{0.0};
   std::atomic<double> histogram_seconds{0.0};
-
-  void Add(GsStats* out) const;
 };
 
-// True when any knob of `budget` has run out. `budget` may be null
-// (unlimited). Race-free against concurrent counter increments.
 bool BudgetExhausted(const EstimationBudget* budget,
                      const BudgetCounters& counters,
                      const Deadline& deadline);

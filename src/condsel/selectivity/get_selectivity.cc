@@ -35,6 +35,8 @@ GetSelectivity::GetSelectivity(const Query* query,
 GetSelectivity::~GetSelectivity() = default;
 
 CONDSEL_HOT SelEstimate GetSelectivity::Compute(PredSet p) {
+  const Clock::time_point start = Clock::now();
+  const double histogram_before = stats_.histogram_seconds;
   // Arm the per-call deadline for the duration of this call (the count
   // caps are cumulative and need no per-call state). The clock is passed
   // down explicitly — Score's and AtomicFactorCandidatesInto's deadline
@@ -56,12 +58,11 @@ CONDSEL_HOT SelEstimate GetSelectivity::Compute(PredSet p) {
   factor_estimates_ = ArenaVector<FactorEstimate>(&arena_);
   factor_heads_.fill(-1);
   const MemoEntry& e = ComputeEntry(p);
+  // Fig. 8's split: EstimateFactor clocks the provider's Estimate calls,
+  // and the rest of this call's wall time is analysis.
+  stats_.analysis_seconds += Seconds(start, Clock::now()) -
+                             (stats_.histogram_seconds - histogram_before);
   return SelEstimate{e.selectivity, e.error};
-}
-
-const GsStats& GetSelectivity::stats() const {
-  counters_.Add(&stats_);
-  return stats_;
 }
 
 CONDSEL_HOT const DerivationAtom& GetSelectivity::SinglePredicateFallback(
@@ -71,22 +72,20 @@ CONDSEL_HOT const DerivationAtom& GetSelectivity::SinglePredicateFallback(
       memo_.InsertAtom(i, provider_->BaseAtom(*query_, i, /*describe=*/true));
   // 1.0 never understates a cardinality, the safe direction for an
   // optimizer that must still produce a plan. Counted once per predicate.
-  if (!stored.has_stat) {
-    counters_.default_fallbacks.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (!stored.has_stat) ++stats_.default_fallbacks;
   return stored;
 }
 
 CONDSEL_HOT void GetSelectivity::EnumerateCandidates(
     PredSet p, ArenaVector<PredSet>* out) {
   if (shape_ != nullptr && shape_->CopyCandidates(p, out)) {
-    counters_.shape_cache_hits.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.shape_cache_hits;
     return;
   }
   bool truncated = false;
   AtomicFactorCandidatesInto(*query_, p, &deadline_, &truncated, out);
   if (shape_ != nullptr) {
-    counters_.shape_cache_misses.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.shape_cache_misses;
     // A truncated list is an artifact of this call's deadline, not of the
     // statement's shape — caching it would leak one call's degradation
     // into every later structurally identical statement.
@@ -108,8 +107,10 @@ CONDSEL_HOT double GetSelectivity::EstimateFactor(
       return e.selectivity;
     }
   }
+  const Clock::time_point t0 = Clock::now();
   const double sel =
       SanitizeSelectivity(provider_->Estimate(*query_, p_prime, choice));
+  stats_.histogram_seconds += Seconds(t0, Clock::now());
   factor_estimates_.Append(FactorEstimate{p_prime, head, {s0, s1}, sel});
   head = static_cast<int32_t>(factor_estimates_.size() - 1);
   return sel;
@@ -124,7 +125,7 @@ CONDSEL_HOT MemoEntry GetSelectivity::DegradedEntry(PredSet p,
   double sel = 1.0;
   for (int i : SetElements(p)) sel *= SinglePredicateFallback(i).selectivity;
   entry.selectivity = SanitizeSelectivity(sel);
-  counters_.degraded_subproblems.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.degraded_subproblems;
   return entry;
 }
 
@@ -200,16 +201,11 @@ CONDSEL_HOT MemoEntry GetSelectivity::SolveNonSeparable(
   PredSet best_p_prime = 0;
   FactorChoice best_choice;
 
-  // Candidate-loop bookkeeping accumulates locally and flushes once: a
-  // fetch_add on an atomic double is a CAS loop.
-  uint64_t considered = 0;
-  double analysis_acc = 0.0;
-
   for (PredSet p_prime : candidates) {
     // Stop scoring further candidates once the budget runs out mid-loop;
     // whatever has been found so far (possibly nothing) decides below.
-    if (BudgetExhausted(budget_, counters_, deadline_)) {
-      counters_.budget_exhausted.store(true, std::memory_order_relaxed);
+    if (BudgetExhausted(budget_, stats_, deadline_)) {
+      stats_.budget_exhausted = true;
       break;
     }
     const PredSet q = p & ~p_prime;
@@ -218,15 +214,15 @@ CONDSEL_HOT MemoEntry GetSelectivity::SolveNonSeparable(
     const MemoEntry& qe = ComputeEntry(q);
     // The recursion may have spent the budget; re-check before charging
     // another decomposition so the cap stays tight at every level.
-    if (BudgetExhausted(budget_, counters_, deadline_)) {
-      counters_.budget_exhausted.store(true, std::memory_order_relaxed);
+    if (BudgetExhausted(budget_, stats_, deadline_)) {
+      stats_.budget_exhausted = true;
       break;
     }
-    const auto t1 = Clock::now();
-    ++considered;
+    // Counted live, before scoring: every budget check, in this loop and
+    // down the recursion, sees it, so the cap is a hard ceiling.
+    ++stats_.atomic_considered;
     FactorChoice choice =
         provider_->Score(*query_, p_prime, q, &deadline_, &scratch_);
-    analysis_acc += Seconds(t1, Clock::now());
     if (!choice.feasible) continue;
     const double merged = ErrorFunction::Merge(choice.error, qe.error);
     if (merged < best_error) {
@@ -235,10 +231,6 @@ CONDSEL_HOT MemoEntry GetSelectivity::SolveNonSeparable(
       best_choice = std::move(choice);
     }
   }
-
-  counters_.atomic_considered.fetch_add(considered, std::memory_order_relaxed);
-  counters_.analysis_seconds.fetch_add(analysis_acc,
-                                       std::memory_order_relaxed);
 
   if (best_p_prime == 0) {
     // No feasible decomposition — a pool without base histograms for some
@@ -253,10 +245,7 @@ CONDSEL_HOT MemoEntry GetSelectivity::SolveNonSeparable(
 
   // Lines 16-17: estimate the winning factor with its chosen SITs
   // (histogram manipulation) and combine with the tail's estimate.
-  const auto t2 = Clock::now();
   const double factor_sel = EstimateFactor(best_p_prime, best_choice);
-  counters_.histogram_seconds.fetch_add(Seconds(t2, Clock::now()),
-                                        std::memory_order_relaxed);
   // A memo hit: the tail was solved when the winner scored.
   const MemoEntry& tail = ComputeEntry(p & ~best_p_prime);
 
@@ -270,7 +259,7 @@ CONDSEL_HOT MemoEntry GetSelectivity::SolveNonSeparable(
 
 CONDSEL_HOT const MemoEntry& GetSelectivity::ComputeEntry(PredSet p) {
   if (const MemoEntry* hit = memo_.Find(p)) {
-    counters_.memo_hits.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.memo_hits;
     return *hit;
   }
 
@@ -288,15 +277,14 @@ CONDSEL_HOT const MemoEntry& GetSelectivity::ComputeEntry(PredSet p) {
   // entries keep serving their (more accurate) results. Degraded entries
   // count in degraded_subproblems, not subproblems, so the cap bounds the
   // entries the search actually works on.
-  if (BudgetExhausted(budget_, counters_, deadline_)) {
-    counters_.budget_exhausted.store(true, std::memory_order_relaxed);
+  if (BudgetExhausted(budget_, stats_, deadline_)) {
+    stats_.budget_exhausted = true;
     MemoEntry entry = DegradedEntry(p, FallbackReason::kBudgetExhausted);
     RecordEntry(p, entry);
     return memo_.Insert(p, std::move(entry));
   }
-  counters_.subproblems.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.subproblems;
 
-  const auto t0 = Clock::now();
   const ComponentList components = StandardDecompositionFast(*query_, p);
   if (components.size() > 1) {
     // Lines 3-7: separable — solve the standard decomposition's factors
@@ -304,8 +292,6 @@ CONDSEL_HOT const MemoEntry& GetSelectivity::ComputeEntry(PredSet p) {
     MemoEntry entry;
     entry.kind = MemoEntryKind::kSeparable;
     entry.components = components;
-    counters_.analysis_seconds.fetch_add(Seconds(t0, Clock::now()),
-                                         std::memory_order_relaxed);
     double sel = 1.0;
     double err = 0.0;
     for (PredSet comp : components) {
@@ -318,9 +304,6 @@ CONDSEL_HOT const MemoEntry& GetSelectivity::ComputeEntry(PredSet p) {
     RecordEntry(p, entry);
     return memo_.Insert(p, std::move(entry));
   }
-  counters_.analysis_seconds.fetch_add(Seconds(t0, Clock::now()),
-                                       std::memory_order_relaxed);
-
   // Candidates live in the per-Compute arena: the list is consumed within
   // this frame (SolveNonSeparable iterates it; the recursion below builds
   // its own lists further down the same arena) and dies at the next
@@ -334,11 +317,9 @@ CONDSEL_HOT const MemoEntry& GetSelectivity::ComputeEntry(PredSet p) {
 
 std::string GetSelectivity::Explain(PredSet p) const {
   std::string out;
-  GsStats snapshot;
-  counters_.Add(&snapshot);
-  if (snapshot.budget_exhausted) {
+  if (stats_.budget_exhausted) {
     out += "[budget exhausted: " +
-           std::to_string(snapshot.degraded_subproblems) +
+           std::to_string(stats_.degraded_subproblems) +
            " subset(s) degraded to the independence fallback]\n";
   }
   ExplainRec(p, 0, &out);

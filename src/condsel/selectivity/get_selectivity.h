@@ -34,7 +34,11 @@
 //
 // The run also collects the statistics the evaluation section reports:
 // decomposition-analysis vs histogram-manipulation time (Fig. 8), memo
-// hits, and subproblem counts.
+// hits, and subproblem counts. Two clocks make the split: one pair per
+// Compute() call, and one around each provider Estimate the factor memo
+// misses; analysis is the rest of the call. The counters are plain
+// integers, counted in place: only the thread running the search reads
+// them.
 
 #pragma once
 
@@ -90,7 +94,7 @@ class GetSelectivity {
   void set_recorder(DerivationDag* dag) { recorder_ = dag; }
   DerivationDag* recorder() const { return recorder_; }
 
-  const GsStats& stats() const;
+  const GsStats& stats() const { return stats_; }
 
  private:
   // Depth-first recursion (the paper's Figure 3).
@@ -153,12 +157,13 @@ class GetSelectivity {
   std::array<int32_t, kMaxPredicates> factor_heads_{};
   // Candidate-list scratch for Score calls.
   ScoreScratch scratch_;
-  BudgetCounters counters_;
   // Deadline for the in-flight top-level Compute() call, armed via
   // ScopedDeadline and passed down explicitly per call (Score's deadline
   // argument) — never stored in the shared provider.
   Deadline deadline_;
-  mutable GsStats stats_;  // snapshot of counters_, refreshed by stats()
+  // The search's counters and Fig. 8 timings. BudgetExhausted reads the
+  // live counts, so every cap is a hard ceiling.
+  GsStats stats_;
 };
 
 }  // namespace condsel

@@ -9,6 +9,8 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "condsel/api.h"
 #include "condsel/common/fault_injector.h"
@@ -310,17 +312,26 @@ TEST_F(BudgetTest, TinySubproblemBudgetDegradesGracefully) {
 }
 
 TEST_F(BudgetTest, AtomicDecompositionCapBites) {
-  EstimationBudget budget;
-  budget.max_atomic_decompositions = 1;
-  Estimator est(&catalog_, &pool_, Ranking::kDiff, budget);
-  const StatusOr<double> sel = est.TryEstimateSelectivity(query_);
-  ASSERT_TRUE(sel.ok());
-  EXPECT_GE(*sel, 0.0);
-  EXPECT_LE(*sel, 1.0);
-  const GsStats* stats = est.StatsFor(query_);
-  ASSERT_NE(stats, nullptr);
-  EXPECT_TRUE(stats->budget_exhausted);
-  EXPECT_LE(stats->atomic_considered, 1u);
+  // The cap is a hard ceiling at every size, including caps reached while
+  // candidate loops further up the recursion are still open. Unlimited,
+  // the search scores more than the largest cap, so every cap bites.
+  Estimator unlimited(&catalog_, &pool_);
+  ASSERT_TRUE(unlimited.TryEstimateSelectivity(query_).ok());
+  ASSERT_GT(unlimited.StatsFor(query_)->atomic_considered, 512u);
+  for (const uint64_t cap : {1, 2, 3, 5, 8, 16, 64, 100, 512}) {
+    SCOPED_TRACE(cap);
+    EstimationBudget budget;
+    budget.max_atomic_decompositions = cap;
+    Estimator est(&catalog_, &pool_, Ranking::kDiff, budget);
+    const StatusOr<double> sel = est.TryEstimateSelectivity(query_);
+    ASSERT_TRUE(sel.ok());
+    EXPECT_GE(*sel, 0.0);
+    EXPECT_LE(*sel, 1.0);
+    const GsStats* stats = est.StatsFor(query_);
+    ASSERT_NE(stats, nullptr);
+    EXPECT_TRUE(stats->budget_exhausted);
+    EXPECT_LE(stats->atomic_considered, cap);
+  }
 }
 
 TEST_F(BudgetTest, BudgetAppliesToLiveSessions) {
@@ -362,6 +373,43 @@ TEST_F(BudgetTest, DeadlineFaultIgnoredWithoutDeadline) {
   const GsStats* stats = est.StatsFor(query_);
   ASSERT_NE(stats, nullptr);
   EXPECT_FALSE(stats->budget_exhausted);
+}
+
+TEST(DeadlineTest, ArmBeyondTheClockRangeIsNoDeadline) {
+  // steady_clock counts int64 nanoseconds, about 292 years. A deadline it
+  // cannot represent, and NaN, mean no deadline, as seconds <= 0 does.
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (const double seconds :
+       {1e10, 1e300, kInf, std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE(seconds);
+    Deadline deadline;
+    deadline.Arm(1e-9);  // an armed, expired deadline is replaced
+    deadline.Arm(seconds);
+    EXPECT_FALSE(deadline.armed());
+    EXPECT_FALSE(deadline.Expired());
+  }
+  // A long deadline the clock can represent stays armed.
+  Deadline deadline;
+  deadline.Arm(1e9);
+  EXPECT_TRUE(deadline.armed());
+  EXPECT_FALSE(deadline.Expired());
+}
+
+TEST_F(BudgetTest, DeadlineBeyondTheClockRangeIsNoDeadline) {
+  Estimator unbudgeted(&catalog_, &pool_);
+  const StatusOr<double> want = unbudgeted.TryEstimateSelectivity(query_);
+  ASSERT_TRUE(want.ok());
+  EstimationBudget budget;
+  budget.deadline_seconds = 1e10;  // past steady_clock's range
+  Estimator est(&catalog_, &pool_, Ranking::kDiff, budget);
+  const StatusOr<double> got = est.TryEstimateSelectivity(query_);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(std::memcmp(&*got, &*want, sizeof(double)), 0)
+      << *got << " vs unbudgeted " << *want;
+  const GsStats* stats = est.StatsFor(query_);
+  ASSERT_NE(stats, nullptr);
+  EXPECT_FALSE(stats->budget_exhausted);
+  EXPECT_EQ(stats->degraded_subproblems, 0u);
 }
 
 TEST_F(BudgetTest, DeadlineNotOvershotByPathologicalLookups) {

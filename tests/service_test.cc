@@ -633,6 +633,21 @@ TEST_F(ServiceTest, ExpiredDeadlineRefusesToAttempt) {
   EXPECT_EQ(stats.search.atomic_considered, 0u);
 }
 
+TEST_F(ServiceTest, DeadlineBeyondTheClockRangeIsNoDeadline) {
+  EstimationService service;
+  ASSERT_TRUE(service.Refresh(catalog_, pool_).ok());
+  SubmitOptions submit;
+  submit.deadline_seconds = 1e10;  // past steady_clock's range
+  const StatusOr<ServiceEstimate> r = service.Submit("t", query_, submit);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_FALSE(r.value().degraded);
+  EXPECT_EQ(r.value().attempts, 1);
+  Estimator direct(&catalog_, &pool_, Ranking::kDiff);
+  const StatusOr<double> sel = direct.TryEstimateSelectivity(query_);
+  ASSERT_TRUE(sel.ok());
+  EXPECT_EQ(r.value().selectivity, sel.value());  // bit-identical
+}
+
 TEST(ServiceExceptionTest, OnlyTransientFaultIsRetryable) {
   const Status transient = ClassifyAttemptException(
       "estimation attempt", TransientFault("injected: lookup failed"));
