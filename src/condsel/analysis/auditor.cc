@@ -254,11 +254,10 @@ class AuditPass {
       seen |= tables;
     }
     if (n.kind == DerivKind::kSeparableSplit && n.standard_split) {
-      const std::vector<PredSet> expected =
-          ConnectedComponents(query_.predicates(), n.subset);
+      const ComponentList expected = ConnectedComponents(query_, n.subset);
       std::vector<PredSet> got = n.tails;
       std::sort(got.begin(), got.end());
-      std::vector<PredSet> want = expected;
+      std::vector<PredSet> want(expected.begin(), expected.end());
       std::sort(want.begin(), want.end());
       if (got != want) {
         Add(AuditCheck::kSeparability, n.subset,

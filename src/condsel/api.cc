@@ -132,7 +132,7 @@ Status Estimator::ValidateQuery(const Query& query, PredSet subset) const {
   }
   // Only the requested predicates matter: a query whose join columns lack
   // base histograms can still serve filter-only sub-plan requests.
-  for (int i : SetElements(subset)) {
+  for (int i : SetBits(subset)) {
     const Predicate& p = query.predicate(i);
     for (const ColumnRef& c : p.attrs()) {
       if (!ColumnInCatalog(*catalog_, c)) {

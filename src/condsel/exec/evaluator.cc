@@ -215,7 +215,7 @@ StatusOr<double> Evaluator::TryTrueSelectivity(const Query& q, PredSet p) {
 double Evaluator::Cardinality(const Query& q, PredSet subset) {
   if (subset == 0) return 1.0;
   double card = 1.0;
-  for (PredSet comp : ConnectedComponents(q.predicates(), subset)) {
+  for (PredSet comp : ConnectedComponents(q, subset)) {
     const std::vector<Predicate> key = q.CanonicalSubset(comp);
     if (cache_ != nullptr) {
       if (const double* cached = cache_->Lookup(key)) {
@@ -303,9 +303,7 @@ ColumnProjection Evaluator::ProjectColumn(const Query& q, PredSet subset,
     return out;
   }
 
-  const std::vector<PredSet> comps =
-      ConnectedComponents(q.predicates(), subset);
-  for (PredSet comp : comps) {
+  for (PredSet comp : ConnectedComponents(q, subset)) {
     if (!Contains(q.TablesOfSubset(comp), col.table)) continue;
     const JoinResult jr = EvaluateComponent(q, comp, restriction);
     const int slot = jr.TableSlot(col.table);

@@ -30,7 +30,7 @@ std::vector<PredSet> SubPlanFamily(const Query& query) {
 
   // Join nodes: each connected join subgraph, with applicable filters.
   for (PredSet joins :
-       ConnectedSubsets(query.predicates(), query.join_predicates(),
+       ConnectedSubsets(query, query.join_predicates(),
                         SetSize(query.join_predicates()))) {
     plans.insert(joins | filters_on_tables(query.TablesOfSubset(joins)));
   }

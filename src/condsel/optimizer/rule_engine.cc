@@ -82,7 +82,7 @@ class RuleEngine {
   int SeedInitialPlan(PredSet preds) {
     const Query& q = query();
     CONDSEL_CHECK_MSG(
-        ConnectedComponents(q.predicates(), preds).size() <= 1,
+        ConnectedComponents(q, preds).size() <= 1,
         "rule engine seeds connected predicate sets only");
 
     // Left-deep join chain in a connectivity-respecting predicate order,

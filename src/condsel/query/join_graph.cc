@@ -6,37 +6,6 @@
 
 namespace condsel {
 
-namespace {
-
-// Stack-resident union-find over the fixed 32-id universe (tables are
-// catalog ids < 32, like predicates). The heap-free replacement for
-// UnionFind on the estimation hot path, where ConnectedComponents runs
-// once per subset of the DP lattice.
-struct SmallUnionFind {
-  int parent[kMaxPredicates];
-
-  SmallUnionFind() {
-    for (int i = 0; i < kMaxPredicates; ++i) parent[i] = i;
-  }
-
-  int Find(int x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  }
-
-  void Union(int a, int b) {
-    const int ra = Find(a), rb = Find(b);
-    if (ra != rb) parent[ra] = rb;
-  }
-
-  bool Connected(int a, int b) { return Find(a) == Find(b); }
-};
-
-}  // namespace
-
 UnionFind::UnionFind(int n) : parent_(static_cast<size_t>(n)) {
   for (int i = 0; i < n; ++i) parent_[static_cast<size_t>(i)] = i;
 }
@@ -55,61 +24,32 @@ void UnionFind::Union(int a, int b) {
   if (ra != rb) parent_[static_cast<size_t>(ra)] = rb;
 }
 
-ComponentList ConnectedComponentsFast(const std::vector<Predicate>& preds,
-                                      PredSet subset) {
+ComponentList ConnectedComponents(const Query& query, PredSet subset) {
   ComponentList out;
-  if (subset == 0) return out;
-
-  // Union tables linked by each predicate in the subset; two predicates
-  // end up connected iff their table sets meet transitively.
-  SmallUnionFind uf;
-  for (int i : SetBits(subset)) {
-    const Predicate& p = preds[static_cast<size_t>(i)];
-    if (p.is_join()) {
-      uf.Union(p.left().table, p.right().table);
+  // Seed each component at the lowest predicate not yet placed, which
+  // orders components by lowest index, and grow it through neighbour
+  // masks restricted to the subset until no frontier is left.
+  for (PredSet rest = subset; rest != 0;) {
+    PredSet comp = rest & (0u - rest);
+    for (PredSet frontier = comp; frontier != 0;) {
+      const int i = std::countr_zero(frontier);
+      frontier &= frontier - 1u;
+      const PredSet grown = query.neighbors(i) & rest & ~comp;
+      comp |= grown;
+      frontier |= grown;
     }
-  }
-
-  // Group predicates by the root of (any of) their tables, keeping
-  // components ordered by lowest predicate index. A filter belongs to the
-  // component of its single table; a join's two tables are already
-  // unioned. Linear scan over seen roots: component counts are tiny and
-  // the array is stack-resident.
-  int seen_roots[kMaxPredicates];
-  for (int i : SetBits(subset)) {
-    const Predicate& p = preds[static_cast<size_t>(i)];
-    const int root =
-        uf.Find(p.is_join() ? p.left().table : p.column().table);
-    int slot = -1;
-    for (int k = 0; k < out.count; ++k) {
-      if (seen_roots[k] == root) {
-        slot = k;
-        break;
-      }
-    }
-    if (slot < 0) {
-      seen_roots[out.count] = root;
-      out.comps[out.count] = 1u << i;
-      ++out.count;
-    } else {
-      out.comps[slot] |= 1u << i;
-    }
+    out.comps[out.count++] = comp;
+    rest &= ~comp;
   }
   return out;
 }
 
-std::vector<PredSet> ConnectedComponents(const std::vector<Predicate>& preds,
-                                         PredSet subset) {
-  const ComponentList fast = ConnectedComponentsFast(preds, subset);
-  return std::vector<PredSet>(fast.begin(), fast.end());
+bool IsSeparable(const Query& query, PredSet subset) {
+  return ConnectedComponents(query, subset).count >= 2;
 }
 
-bool IsSeparable(const std::vector<Predicate>& preds, PredSet subset) {
-  return ConnectedComponentsFast(preds, subset).count >= 2;
-}
-
-std::vector<PredSet> ConnectedSubsets(const std::vector<Predicate>& preds,
-                                      PredSet candidates, int max_size) {
+std::vector<PredSet> ConnectedSubsets(const Query& query, PredSet candidates,
+                                      int max_size) {
   std::vector<PredSet> out;
   const std::vector<int> elems = SetElements(candidates);
   const int n = static_cast<int>(elems.size());
@@ -122,7 +62,7 @@ std::vector<PredSet> ConnectedSubsets(const std::vector<Predicate>& preds,
         subset = With(subset, elems[static_cast<size_t>(b)]);
       }
     }
-    if (ConnectedComponentsFast(preds, subset).count == 1) {
+    if (ConnectedComponents(query, subset).count == 1) {
       out.push_back(subset);
     }
   }
@@ -132,7 +72,7 @@ std::vector<PredSet> ConnectedSubsets(const std::vector<Predicate>& preds,
 bool JoinsConnectTables(const std::vector<Predicate>& preds, PredSet subset) {
   const TableSet tables = TablesOf(preds, subset);
   if (tables == 0) return true;
-  SmallUnionFind uf;
+  UnionFind uf(kMaxPredicates);
   for (int i : SetBits(subset)) {
     const Predicate& p = preds[static_cast<size_t>(i)];
     if (p.is_join()) uf.Union(p.left().table, p.right().table);

@@ -3,7 +3,9 @@
 // Two predicates are connected when their table sets transitively
 // intersect. The connected components of P ∪ Q are exactly the factors of
 // the paper's *standard decomposition* (Lemma 2): Sel_R(P|Q) is separable
-// (Definition 2) iff there is more than one component.
+// (Definition 2) iff there is more than one component. The kernel is a
+// flood fill over the per-predicate neighbour masks the Query built once
+// (Query::neighbors), so each call is mask arithmetic only.
 
 #pragma once
 
@@ -12,6 +14,7 @@
 
 #include "condsel/query/predicate.h"
 #include "condsel/query/predicate_set.h"
+#include "condsel/query/query.h"
 
 namespace condsel {
 
@@ -43,21 +46,15 @@ struct ComponentList {
   PredSet operator[](size_t i) const { return comps[i]; }
 };
 
-// Partitions `subset` (a bitmask over `preds`) into connected components.
-// Components are returned as bitmasks, ordered by their lowest predicate
-// index, which makes the output canonical (used by Lemma 2's uniqueness).
-// Performs no heap allocation.
-ComponentList ConnectedComponentsFast(const std::vector<Predicate>& preds,
-                                      PredSet subset);
-
-// Vector-returning wrapper over ConnectedComponentsFast for callers off
-// the hot path; identical contents and order.
-std::vector<PredSet> ConnectedComponents(const std::vector<Predicate>& preds,
-                                         PredSet subset);
+// Partitions `subset` (a bitmask over `query`'s predicates) into connected
+// components. Components are returned as bitmasks, ordered by their lowest
+// predicate index, which makes the output canonical (used by Lemma 2's
+// uniqueness). Performs no heap allocation.
+ComponentList ConnectedComponents(const Query& query, PredSet subset);
 
 // True iff `subset` has >= 2 connected components (Definition 2 with
 // Q = empty; callers pass P ∪ Q for conditional expressions).
-bool IsSeparable(const std::vector<Predicate>& preds, PredSet subset);
+bool IsSeparable(const Query& query, PredSet subset);
 
 // True iff the *tables* referenced by `subset` form one connected piece
 // when linked by the join predicates inside `subset`. Differs from
@@ -67,8 +64,7 @@ bool JoinsConnectTables(const std::vector<Predicate>& preds, PredSet subset);
 // All non-empty subsets of `candidates` with at most `max_size` elements
 // that form a single connected component. Used for SIT pool generation
 // (connected join expressions) and for enumerating plan-like sub-queries.
-std::vector<PredSet> ConnectedSubsets(const std::vector<Predicate>& preds,
-                                      PredSet candidates, int max_size);
+std::vector<PredSet> ConnectedSubsets(const Query& query, PredSet candidates,
+                                      int max_size);
 
 }  // namespace condsel
-

@@ -64,11 +64,6 @@ TableSet Predicate::tables() const {
   return s;
 }
 
-std::vector<ColumnRef> Predicate::attrs() const {
-  if (is_filter()) return {cols_[0]};
-  return {cols_[0], cols_[1]};
-}
-
 std::string Predicate::ToString(const Catalog& catalog) const {
   char buf[160];
   auto col_name = [&](const ColumnRef& c) {

@@ -10,6 +10,7 @@
 
 #include <compare>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -47,8 +48,11 @@ class Predicate {
   // Bitmask of tables referenced by this predicate.
   TableSet tables() const;
 
-  // Columns referenced: 1 for a filter, 2 for a join.
-  std::vector<ColumnRef> attrs() const;
+  // Columns referenced: 1 for a filter, 2 for a join. A view of the
+  // predicate's own storage, so walking it allocates nothing.
+  std::span<const ColumnRef> attrs() const {
+    return {cols_, is_join() ? 2u : 1u};
+  }
 
   // Debug string, e.g. "T2.c1 in [5,20]" or "T0.c3 = T1.c0".
   std::string ToString(const Catalog& catalog) const;

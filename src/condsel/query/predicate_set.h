@@ -70,5 +70,12 @@ inline uint32_t PrevSubmask(uint32_t s, uint32_t cur) {
   return (cur - 1) & s;
 }
 
+// Iterates all non-empty sub-masks of `s` in increasing order:
+//   for (uint32_t sub = NextSubmask(s, 0); sub; sub = NextSubmask(s, sub))
+// Adding one to `cur` with carries rippling through the bits outside `s`.
+inline uint32_t NextSubmask(uint32_t s, uint32_t cur) {
+  return (cur - s) & s;
+}
+
 }  // namespace condsel
 

@@ -18,6 +18,16 @@ Query::Query(std::vector<Predicate> predicates)
     } else {
       filters_ = With(filters_, i);
     }
+    for (int k = 0; k < num_predicates(); ++k) {
+      const Predicate& other = predicate(k);
+      if ((p.tables() & other.tables()) != 0) {
+        neighbors_[static_cast<size_t>(i)] |= 1u << k;
+      }
+      if (p.is_join() && other.is_filter() &&
+          (other.column() == p.left() || other.column() == p.right())) {
+        join_filters_[static_cast<size_t>(i)] |= 1u << k;
+      }
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 
 #pragma once
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -48,6 +49,19 @@ class Query {
   PredSet join_predicates() const { return joins_; }
   PredSet filter_predicates() const { return filters_; }
 
+  // The predicates sharing a table with predicate i, i included: the
+  // edges of the predicate graph whose connected components are the
+  // standard decomposition (query/join_graph.h).
+  PredSet neighbors(int i) const {
+    return neighbors_[static_cast<size_t>(i)];
+  }
+
+  // For a join predicate j, the filters over either of its two columns
+  // (Example 3's attachable filters); empty for a filter.
+  PredSet filters_on_join(int j) const {
+    return join_filters_[static_cast<size_t>(j)];
+  }
+
   // Extracts the selected predicates as a sorted (canonical) vector —
   // the key used by cross-query caches (cardinalities, SITs).
   std::vector<Predicate> CanonicalSubset(PredSet subset) const;
@@ -59,6 +73,10 @@ class Query {
   TableSet tables_ = 0;
   PredSet joins_ = 0;
   PredSet filters_ = 0;
+  // Per-predicate masks, built once by the constructor (O(n^2), n <= 32)
+  // so the DP's per-subset kernels are pure mask arithmetic.
+  std::array<PredSet, kMaxPredicates> neighbors_{};
+  std::array<PredSet, kMaxPredicates> join_filters_{};
 };
 
 }  // namespace condsel

@@ -139,7 +139,7 @@ SampleSit SampleSitBuilder::Build(
   const Query expr_query(expression);
   const PredSet all = expr_query.all_predicates();
   CONDSEL_CHECK_MSG(
-      ConnectedComponents(expr_query.predicates(), all).size() == 1,
+      ConnectedComponents(expr_query, all).size() == 1,
       "sample expression must be connected");
   const JoinResult jr = evaluator_->EvaluateComponent(expr_query, all);
   out.source_cardinality_ = static_cast<double>(jr.num_tuples);

@@ -15,49 +15,29 @@ CONDSEL_HOT void AtomicFactorCandidatesInto(const Query& query, PredSet p,
     return true;
   };
 
-  for (int i : SetBits(p)) {
-    if (query.predicate(i).is_filter()) {
-      out->Append(1u << i);
-    }
-  }
+  const PredSet filters = p & query.filter_predicates();
+  const PredSet joins = p & query.join_predicates();
+  for (int i : SetBits(filters)) out->Append(1u << i);
   // Filter pairs (approximable by multidimensional SITs).
-  {
-    const PredSet filters = p & query.filter_predicates();
-    for (int a : SetBits(filters)) {
-      if (expired()) return;
-      for (int b : SetBits(filters & ~((2u << a) - 1u))) {
-        out->Append((1u << a) | (1u << b));
-      }
-    }
-  }
-  for (int i : SetBits(p)) {
-    if (query.predicate(i).is_join()) out->Append(1u << i);
-  }
-  for (int j : SetBits(p)) {
-    if (!query.predicate(j).is_join()) continue;
+  for (int a : SetBits(filters)) {
     if (expired()) return;
-    const Predicate& join = query.predicate(j);
-    // Filters of P over the join's columns. At most kMaxPredicates of
-    // them — a stack array, like every other per-subset scratch here.
-    int attached[kMaxPredicates];
-    int nf = 0;
-    for (int f : SetBits(p)) {
-      if (f == j || !query.predicate(f).is_filter()) continue;
-      const ColumnRef c = query.predicate(f).column();
-      if (c == join.left() || c == join.right()) attached[nf++] = f;
+    for (int b : SetBits(filters & ~((2u << a) - 1u))) {
+      out->Append((1u << a) | (1u << b));
     }
-    for (uint32_t m = 1; m < (1u << nf); ++m) {
+  }
+  for (int i : SetBits(joins)) out->Append(1u << i);
+  for (int j : SetBits(joins)) {
+    if (expired()) return;
+    // Every non-empty combination of P's filters over the join's columns,
+    // in increasing mask order.
+    const PredSet attached = query.filters_on_join(j) & p;
+    for (PredSet combo = NextSubmask(attached, 0); combo != 0;
+         combo = NextSubmask(attached, combo)) {
       // The deadline gate inside the exponential fan-out: without it a
       // join with many attached filters could spend 2^nf enumeration
       // steps after the clock ran out.
       if (expired()) return;
-      PredSet combo = 1u << j;
-      for (int b = 0; b < nf; ++b) {
-        if (Contains(m, b)) {
-          combo = With(combo, attached[b]);
-        }
-      }
-      out->Append(combo);
+      out->Append(With(combo, j));
     }
   }
 }

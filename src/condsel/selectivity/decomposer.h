@@ -12,7 +12,10 @@
 //   2. filter pairs (approximable by multidimensional SITs);
 //   3. single joins;
 //   4. each join plus every non-empty combination of the filters over its
-//      own columns (Example 3's shapes).
+//      own columns (Example 3's shapes), the combinations in increasing
+//      mask order: the non-empty submasks of Query::filters_on_join(j) ∩ P.
+// Every group is read off masks the Query built once, so enumeration is
+// mask arithmetic, with no per-call scan of the predicates.
 // All other P' would need statistics no pool contains; their error is
 // infinite (line 12's "no SITs available") and exploring them could never
 // win, so they are skipped outright.

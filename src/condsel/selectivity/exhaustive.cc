@@ -70,7 +70,7 @@ std::pair<double, double> Best(SearchState& st, PredSet p) {
     return {0.0, 1.0};
   }
 
-  const std::vector<PredSet> comps = StandardDecomposition(*st.query, p);
+  const ComponentList comps = StandardDecompositionFast(*st.query, p);
   double best_err = kInfiniteError;
   double best_sel = 0.0;
   BestChoice best;
@@ -91,7 +91,7 @@ std::pair<double, double> Best(SearchState& st, PredSet p) {
       best_err = err;
       best_sel = sel;
       best.separable = true;
-      best.components = comps;
+      best.components.assign(comps.begin(), comps.end());
     }
     if (st.separable_first) {
       Record(st, p, best_err, best_sel, best);

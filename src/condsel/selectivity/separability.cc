@@ -5,15 +5,11 @@
 namespace condsel {
 
 bool IsSeparableSel(const Query& query, PredSet p, PredSet cond) {
-  return IsSeparable(query.predicates(), p | cond);
-}
-
-std::vector<PredSet> StandardDecomposition(const Query& query, PredSet p) {
-  return ConnectedComponents(query.predicates(), p);
+  return IsSeparable(query, p | cond);
 }
 
 ComponentList StandardDecompositionFast(const Query& query, PredSet p) {
-  return ConnectedComponentsFast(query.predicates(), p);
+  return ConnectedComponents(query, p);
 }
 
 }  // namespace condsel

@@ -8,8 +8,6 @@
 
 #pragma once
 
-#include <vector>
-
 #include "condsel/query/join_graph.h"
 #include "condsel/query/query.h"
 
@@ -20,11 +18,8 @@ bool IsSeparableSel(const Query& query, PredSet p, PredSet cond = 0);
 
 // The unique standard decomposition of Sel(P): the connected components
 // of P, each a non-separable unconditioned factor, ordered canonically by
-// lowest predicate index.
-std::vector<PredSet> StandardDecomposition(const Query& query, PredSet p);
-
-// Allocation-free variant for the per-subset DP hot path; identical
-// contents and order, returned on the stack.
+// lowest predicate index. Allocation-free, returned on the stack, for the
+// per-subset DP hot path.
 ComponentList StandardDecompositionFast(const Query& query, PredSet p);
 
 }  // namespace condsel

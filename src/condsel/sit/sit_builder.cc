@@ -54,7 +54,7 @@ std::vector<Sit> SitBuilder::BuildManyImpl(
   const Query expr_query(expression);
   const PredSet all = expr_query.all_predicates();
   CONDSEL_CHECK_MSG(
-      ConnectedComponents(expr_query.predicates(), all).size() == 1,
+      ConnectedComponents(expr_query, all).size() == 1,
       "SIT expression must be connected");
 
   // Evaluate the expression once; project each attribute from the
@@ -213,7 +213,7 @@ Sit SitBuilder::Build2d(ColumnRef a, ColumnRef b,
     const Query expr_query(expression);
     const PredSet all = expr_query.all_predicates();
     CONDSEL_CHECK_MSG(
-        ConnectedComponents(expr_query.predicates(), all).size() == 1,
+        ConnectedComponents(expr_query, all).size() == 1,
         "SIT expression must be connected");
     const JoinResult jr = evaluator_->EvaluateComponent(expr_query, all);
     const int slot_a = jr.TableSlot(a.table);

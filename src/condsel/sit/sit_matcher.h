@@ -13,7 +13,8 @@
 #include <atomic>
 #include <cstdint>
 #include <initializer_list>
-#include <map>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "condsel/query/query.h"
@@ -62,9 +63,13 @@ class SitMatcher {
  public:
   explicit SitMatcher(const SitPool* pool);
 
-  // Binds a query: precomputes, per attribute, which pool SITs are
-  // applicable (their whole expression appears among the query's
-  // predicates) and the corresponding predicate bitmask.
+  // Binds a query: precomputes, per attribute (and per attribute pair),
+  // which pool SITs are applicable (their whole expression appears among
+  // the query's predicates) and the corresponding predicate bitmask. Every
+  // column's SITs are indexed, not only the query's predicate columns:
+  // GROUP BY estimation (distinct.h) looks up columns no predicate names.
+  // The matcher is read-only after BindQuery returns, so estimators on
+  // several threads may share one bound matcher.
   void BindQuery(const Query* query);
 
   // How Candidates() charges the view-matching call counter.
@@ -80,10 +85,10 @@ class SitMatcher {
 
   // View matching: candidates for attribute `attr` conditioned on `cond`.
   // Returns all applicable SITs with expr_mask ⊆ cond that are maximal
-  // (no other candidate's expression strictly contains theirs). The base
-  // histogram (expr_mask == 0) qualifies only when nothing else does or
-  // nothing strictly contains it — i.e. it is subject to the same
-  // maximality rule. Charges the call counter per `accounting`.
+  // (no other candidate's expression strictly contains theirs), in pool
+  // order. The base histogram (expr_mask == 0) qualifies only when nothing
+  // else does or nothing strictly contains it — i.e. it is subject to the
+  // same maximality rule. Charges the call counter per `accounting`.
   std::vector<SitCandidate> Candidates(
       ColumnRef attr, PredSet cond,
       CallAccounting accounting = CallAccounting::kIndexed);
@@ -114,22 +119,37 @@ class SitMatcher {
   const SitPool& pool() const { return *pool_; }
 
  private:
-  // Shared consistency + maximality filtering over an applicability list,
-  // single pass, no intermediate storage beyond `out`.
-  void FilterMaximalInto(const std::vector<SitCandidate>* list, PredSet cond,
+  // A SIT's (attr, attr2); attr2 is the invalid ColumnRef for
+  // one-attribute SITs, as in Sit itself.
+  using Key = std::pair<ColumnRef, ColumnRef>;
+
+  // One applicability list of the flat index: index_[begin, end) holds the
+  // applicable SITs with this key.
+  struct Range {
+    Key key;
+    uint32_t begin = 0;
+    uint32_t end = 0;
+  };
+
+  // The applicability list for a key; empty when no SIT applies.
+  std::span<const SitCandidate> List(const Key& key) const;
+
+  // Consistency and maximality filtering over one applicability list, in
+  // one pass, with no storage beyond `out`.
+  void FilterMaximalInto(std::span<const SitCandidate> list, PredSet cond,
                          CallAccounting accounting,
                          std::vector<SitCandidate>* out);
 
   const SitPool* pool_;
   const Query* query_ = nullptr;
-  // attr -> (sit, expr mask), applicable to the bound query.
-  std::map<ColumnRef, std::vector<SitCandidate>> applicable_;
-  // (attr, attr2) with attr <= attr2 -> multidimensional candidates.
-  std::map<std::pair<ColumnRef, ColumnRef>, std::vector<SitCandidate>>
-      applicable2_;
+  // Every SIT applicable to the bound query, grouped by key; within a
+  // group, in descending expression size, ties in pool order.
+  std::vector<SitCandidate> index_;
+  // One entry per group, sorted by key.
+  std::vector<Range> ranges_;
   // Atomic so estimators sharing one bound matcher can charge
-  // view-matching calls concurrently; the applicability maps above are
-  // read-only once BindQuery returns, so lookups need no lock.
+  // view-matching calls concurrently; the index above is read-only once
+  // BindQuery returns, so lookups need no lock.
   std::atomic<uint64_t> num_calls_{0};
 };
 

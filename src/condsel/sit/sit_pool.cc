@@ -72,8 +72,7 @@ std::vector<SitSpec> EnumerateSitSpecs(const std::vector<Query>& workload,
     for (int i : SetElements(q.filter_predicates())) {
       filter_attrs.push_back(q.predicate(i).column());
     }
-    for (PredSet joins : ConnectedSubsets(q.predicates(),
-                                          q.join_predicates(),
+    for (PredSet joins : ConnectedSubsets(q, q.join_predicates(),
                                           max_join_preds)) {
       const TableSet joined = q.TablesOfSubset(joins);
       const std::vector<Predicate> expr = q.CanonicalSubset(joins);

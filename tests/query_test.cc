@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
 #include "condsel/query/join_graph.h"
 #include "condsel/query/predicate.h"
 #include "condsel/query/predicate_set.h"
@@ -29,6 +32,18 @@ TEST(PredicateSetTest, BasicOps) {
   EXPECT_TRUE(IsSubset(1u, s));
   EXPECT_FALSE(IsSubset(2u, s));
   EXPECT_EQ(SetElements(s), (std::vector<int>{0, 3}));
+}
+
+TEST(PredicateSetTest, NextSubmaskAscends) {
+  const PredSet s = 0b10110;
+  std::vector<PredSet> seen;
+  for (PredSet sub = NextSubmask(s, 0); sub != 0;
+       sub = NextSubmask(s, sub)) {
+    seen.push_back(sub);
+  }
+  EXPECT_EQ(seen, (std::vector<PredSet>{0b00010, 0b00100, 0b00110, 0b10000,
+                                        0b10010, 0b10100, 0b10110}));
+  EXPECT_EQ(NextSubmask(0, 0), 0u);
 }
 
 TEST(PredicateSetTest, SubmaskEnumerationVisitsAll) {
@@ -98,10 +113,10 @@ TEST(JoinGraphTest, ConnectedComponentsSplitsByTables) {
   const Query q({Predicate::Filter(Ra(), 1, 5),
                  Predicate::Filter(Sb(), 0, 100),
                  Predicate::Join(Rx(), Sy())});
-  const auto all = ConnectedComponents(q.predicates(), 0b111);
+  const auto all = ConnectedComponents(q, 0b111);
   EXPECT_EQ(all.size(), 1u);
   // Without the join, the filters separate.
-  const auto split = ConnectedComponents(q.predicates(), 0b011);
+  const auto split = ConnectedComponents(q, 0b011);
   ASSERT_EQ(split.size(), 2u);
   EXPECT_EQ(split[0], 0b001u);
   EXPECT_EQ(split[1], 0b010u);
@@ -111,17 +126,17 @@ TEST(JoinGraphTest, SeparabilityDefinition) {
   const Query q({Predicate::Filter(Ra(), 1, 5),
                  Predicate::Filter(Sb(), 0, 100),
                  Predicate::Join(Rx(), Sy()), Predicate::Filter(Tz(), 0, 9)});
-  EXPECT_TRUE(IsSeparable(q.predicates(), 0b1111));   // T is isolated
-  EXPECT_FALSE(IsSeparable(q.predicates(), 0b0111));  // R-S connected
-  EXPECT_TRUE(IsSeparable(q.predicates(), 0b0011));
-  EXPECT_FALSE(IsSeparable(q.predicates(), 0b0001));
+  EXPECT_TRUE(IsSeparable(q, 0b1111));   // T is isolated
+  EXPECT_FALSE(IsSeparable(q, 0b0111));  // R-S connected
+  EXPECT_TRUE(IsSeparable(q, 0b0011));
+  EXPECT_FALSE(IsSeparable(q, 0b0001));
 }
 
 TEST(JoinGraphTest, ComponentsAreCanonicalAndDisjoint) {
   const Query q({Predicate::Filter(Ra(), 1, 5),
                  Predicate::Filter(Sb(), 0, 100),
                  Predicate::Filter(Tz(), 0, 9)});
-  const auto comps = ConnectedComponents(q.predicates(), 0b111);
+  const auto comps = ConnectedComponents(q, 0b111);
   ASSERT_EQ(comps.size(), 3u);
   PredSet unioned = 0;
   for (PredSet c : comps) {
@@ -133,6 +148,63 @@ TEST(JoinGraphTest, ComponentsAreCanonicalAndDisjoint) {
   EXPECT_EQ(comps[0], 0b001u);
   EXPECT_EQ(comps[1], 0b010u);
   EXPECT_EQ(comps[2], 0b100u);
+}
+
+// The union-find kernel ConnectedComponents replaced, kept as the
+// reference: union the tables each join links, then give each predicate
+// the component of its table's root, components in order of first
+// predicate.
+std::vector<PredSet> UnionFindComponents(const Query& q, PredSet subset) {
+  UnionFind uf(kMaxPredicates);
+  for (int i : SetBits(subset)) {
+    const Predicate& p = q.predicate(i);
+    if (p.is_join()) uf.Union(p.left().table, p.right().table);
+  }
+  std::vector<int> roots;
+  std::vector<PredSet> comps;
+  for (int i : SetBits(subset)) {
+    const Predicate& p = q.predicate(i);
+    const int root =
+        uf.Find(p.is_join() ? p.left().table : p.column().table);
+    const auto it = std::find(roots.begin(), roots.end(), root);
+    if (it == roots.end()) {
+      roots.push_back(root);
+      comps.push_back(1u << i);
+    } else {
+      comps[static_cast<size_t>(it - roots.begin())] |= 1u << i;
+    }
+  }
+  return comps;
+}
+
+TEST(JoinGraphTest, ComponentsMatchUnionFindOnEverySubset) {
+  // 7 joins and 5 filters over 6 tables, interleaved at random. Seven
+  // joins over six tables always close a cycle or repeat a join, and the
+  // subsets that drop joins leave disconnected pieces and filters on
+  // tables no join reaches.
+  for (uint32_t seed = 1; seed <= 20; ++seed) {
+    std::mt19937 rng(seed);
+    auto column = [&] {
+      return ColumnRef{static_cast<TableId>(rng() % 6),
+                       static_cast<ColumnId>(rng() % 3)};
+    };
+    std::vector<Predicate> preds;
+    while (preds.size() < 7) {
+      const ColumnRef a = column(), b = column();
+      if (a.table != b.table) preds.push_back(Predicate::Join(a, b));
+    }
+    for (int f = 0; f < 5; ++f) {
+      preds.push_back(Predicate::Filter(column(), 0, 10));
+    }
+    std::shuffle(preds.begin(), preds.end(), rng);
+    const Query q(preds);
+    for (PredSet subset = 0; subset <= q.all_predicates(); ++subset) {
+      const ComponentList got = ConnectedComponents(q, subset);
+      ASSERT_EQ(std::vector<PredSet>(got.begin(), got.end()),
+                UnionFindComponents(q, subset))
+          << "seed " << seed << ", subset " << subset;
+    }
+  }
 }
 
 TEST(JoinGraphTest, JoinsConnectTables) {
@@ -147,9 +219,9 @@ TEST(JoinGraphTest, ConnectedSubsets) {
   // Chain: R -j0- S -j1- T. Connected join subsets: {j0}, {j1}, {j0,j1}.
   const Query q({Predicate::Join(Rx(), Sy()), Predicate::Join(Sb(), Tz())});
   const auto subsets =
-      ConnectedSubsets(q.predicates(), q.all_predicates(), 2);
+      ConnectedSubsets(q, q.all_predicates(), 2);
   EXPECT_EQ(subsets.size(), 3u);
-  const auto size1 = ConnectedSubsets(q.predicates(), q.all_predicates(), 1);
+  const auto size1 = ConnectedSubsets(q, q.all_predicates(), 1);
   EXPECT_EQ(size1.size(), 2u);
 }
 

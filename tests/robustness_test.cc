@@ -209,6 +209,21 @@ TEST_F(RobustnessTest, PoolAgainstWrongCatalogIsFailedPrecondition) {
             std::string::npos);
 }
 
+TEST_F(RobustnessTest, PoolExpressionOutsideCatalogIsFailedPrecondition) {
+  // The SIT's attribute is in the catalog, but its join expression names
+  // table 9, which the three-table catalog lacks.
+  Sit bad;
+  bad.attr = Ra();
+  bad.expression = {Predicate::Join(Rx(), ColumnRef{9, 0})};
+  pool_.Add(std::move(bad));
+  Estimator est(&catalog_, &pool_);
+  const StatusOr<double> sel = est.TryEstimateSelectivity(query_);
+  ASSERT_FALSE(sel.ok());
+  EXPECT_EQ(sel.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(sel.status().message(),
+            "SIT pool expression references a column outside the catalog");
+}
+
 TEST_F(RobustnessTest, AbortingWrapperStillAbortsOnBadInput) {
   const Query bad({Predicate::Filter({9, 0}, 1, 5)});
   Estimator est(&catalog_, &pool_);

@@ -70,7 +70,7 @@ TEST(SeparabilityTest, ExampleOneFromPaper) {
                  Predicate::Filter(Sb(), 0, 9),      // 1: "S.a<10"
                  Predicate::Join(Rx(), Sy())});      // 2: "R.x=S.y"
   EXPECT_TRUE(IsSeparableSel(q, 0b011, 0b100));
-  const auto comps = StandardDecomposition(q, 0b111);
+  const auto comps = StandardDecompositionFast(q, 0b111);
   ASSERT_EQ(comps.size(), 2u);
   EXPECT_EQ(comps[0], 0b001u);   // the T factor
   EXPECT_EQ(comps[1], 0b110u);   // the R-S factor
@@ -81,14 +81,14 @@ TEST(SeparabilityTest, StandardDecompositionUniqueAndIdempotent) {
   // Lemma 2: repeatedly splitting always lands on the same non-separable
   // parts; each part must itself be non-separable.
   for (PredSet p = 1; p <= q.all_predicates(); ++p) {
-    const auto comps = StandardDecomposition(q, p);
+    const auto comps = StandardDecompositionFast(q, p);
     PredSet unioned = 0;
     for (PredSet c : comps) {
       EXPECT_FALSE(IsSeparableSel(q, c)) << "p=" << p;
       EXPECT_EQ(unioned & c, 0u);
       unioned |= c;
       // Idempotence: a component's standard decomposition is itself.
-      const auto again = StandardDecomposition(q, c);
+      const auto again = StandardDecompositionFast(q, c);
       ASSERT_EQ(again.size(), 1u);
       EXPECT_EQ(again[0], c);
     }

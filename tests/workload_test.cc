@@ -36,7 +36,7 @@ TEST_F(WorkloadTest, ShapeMatchesOptions) {
     EXPECT_EQ(SetSize(q.filter_predicates()), 3);
     // Join predicates form one connected expression.
     EXPECT_EQ(
-        ConnectedComponents(q.predicates(), q.join_predicates()).size(), 1u);
+        ConnectedComponents(q, q.join_predicates()).size(), 1u);
     // Filters land on joined tables only.
     const TableSet joined = q.TablesOfSubset(q.join_predicates());
     for (int i : SetElements(q.filter_predicates())) {
