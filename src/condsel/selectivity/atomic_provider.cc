@@ -94,6 +94,20 @@ CONDSEL_HOT double FilterSelectivity(const Sit& sit, const Predicate& f) {
   return SanitizeSelectivity(sel);
 }
 
+// A join-only factor (no filter on the join columns): Σ_pq w_p w_q sel_pq
+// over the piece pairs of its two SITs, read with the allocation-free
+// JoinSelectivity kernel. A pure function of the two SITs, which is what
+// lets SitPool::MemoizedJoinFactor keep it for the pool's lifetime.
+CONDSEL_HOT double JoinOnlySelectivity(const Sit& s0, const Sit& s1) {
+  double sel = 0.0;
+  ForEachPiece(s0, [&](const Histogram& h0, double w0) {
+    ForEachPiece(s1, [&](const Histogram& h1, double w1) {
+      sel += w0 * w1 * JoinSelectivity(h0, h1);
+    });
+  });
+  return SanitizeSelectivity(sel);
+}
+
 int NumPieces(const Sit& sit) {
   return static_cast<int>(sit.parts.size());
 }
@@ -324,19 +338,21 @@ CONDSEL_HOT double AtomicSelectivityProvider::EstimateWith(
   const Sit& s1 = *sits[1].sit;
   // Partitioned join estimate: |R ⋈ S| = Σ_pq |R_p ⋈ S_q|, so the join
   // selectivity (fraction of the cross product) is Σ_pq w_p w_q sel_pq.
+  // An unpartitioned side is a single pseudo-piece of weight 1.0, so the
+  // unpartitioned × unpartitioned case reproduces the legacy computation
+  // exactly. Without filters the sum depends on the two SITs alone, so
+  // the pool computes it once and every later request reads it back.
+  if (num_filters == 0) {
+    return matcher_->pool().MemoizedJoinFactor(
+        s0, s1, [&] { return JoinOnlySelectivity(s0, s1); });
+  }
   // Remaining filters over the join attribute apply per pair on that
   // pair's result histogram (Example 3), which keeps the filter factor
-  // aligned with the piece pair it restricts; without such filters no
-  // result histogram is read, so none is built. An unpartitioned side is
-  // a single pseudo-piece of weight 1.0, so the unpartitioned ×
-  // unpartitioned case reproduces the legacy computation exactly.
+  // aligned with the piece pair it restricts. They carry the query's
+  // constants, so these factors are never memoized per pool.
   double sel = 0.0;
   ForEachPiece(s0, [&](const Histogram& h0, double w0) {
     ForEachPiece(s1, [&](const Histogram& h1, double w1) {
-      if (num_filters == 0) {
-        sel += w0 * w1 * JoinSelectivity(h0, h1);
-        return;
-      }
       const JoinEstimate je = JoinHistograms(h0, h1);
       double pair_sel = je.selectivity;
       for (int k = 0; k < num_filters; ++k) {

@@ -27,6 +27,10 @@
 // A partitioned SIT is estimated piece by piece and the pieces'
 // estimates are combined by cardinality weight (ForEachPiece in the .cc):
 // one range lookup per filter piece, one kernel call per join piece pair.
+// A join-only factor (no filters) depends on its two SITs alone, so its
+// piece-pair sum is computed once per pool and SIT pair and memoized in
+// the pool (SitPool::MemoizedJoinFactor), shared by every estimator that
+// reads the pool.
 // Any other multi-predicate P' would need a multidimensional SIT and is
 // reported infeasible (error = infinity), exactly as getSelectivity's
 // line 12 treats factors with no applicable statistics — the DP then
@@ -35,7 +39,8 @@
 // Thread-safety: the provider is stateless apart from borrowed pointers;
 // after the matcher is bound to a query, Score/Estimate may be called
 // concurrently by estimators sharing the provider (the matcher's call
-// counter is atomic; its applicability index is read-only once bound).
+// counter is atomic; its applicability index is read-only once bound;
+// the pool's join-factor memo is lock-free).
 // Deadlines are per-call arguments, never provider state: estimators
 // sharing one provider each pass their own Deadline to Score, so
 // concurrent searches cannot clobber each other's clock and an
@@ -100,9 +105,11 @@ class AtomicSelectivityProvider {
                      ScoreScratch* scratch = nullptr);
 
   // Histogram manipulation: evaluates the estimate of Sel(P' | Q) with
-  // the chosen SITs. When `provenance` is non-null, Describe's records
-  // (one per chosen SIT) are appended to it (the strings are only built
-  // on request; pass null on hot paths that do not record derivations).
+  // the chosen SITs (EstimateWith; a join-only factor is read from the
+  // pool's memo after its first estimate). When `provenance` is non-null,
+  // Describe's records (one per chosen SIT) are appended to it (the
+  // strings are only built on request; pass null on hot paths that do not
+  // record derivations).
   double Estimate(const Query& query, PredSet p, const FactorChoice& choice,
                   std::vector<FactorProvenance>* provenance = nullptr) const;
 
@@ -157,7 +164,11 @@ class AtomicSelectivityProvider {
                   int filter_preds[], int* num_filters) const;
 
   // The estimate itself, sanitized; Estimate adds the provenance
-  // (Describe) on request.
+  // (Describe) on request. A join-only factor over two SITs of the
+  // matcher's pool goes through the pool's memo, keyed by the ordered
+  // SitId pair: the kernels run once per pool and pair. Filter factors
+  // and joins with filters on their columns (Example 3) read the query's
+  // constants and are computed on every call.
   double EstimateWith(const Query& query, PredSet p, const SitVec& sits) const;
 
   SitMatcher* matcher_;

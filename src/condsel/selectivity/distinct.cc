@@ -5,6 +5,7 @@
 
 #include "condsel/catalog/catalog.h"
 #include "condsel/common/macros.h"
+#include "condsel/common/numeric.h"
 #include "condsel/harness/metrics.h"
 
 namespace condsel {
@@ -84,7 +85,7 @@ double EstimateGroupByCardinality(const Catalog& catalog, const Query& query,
     if (p_v <= 0.0) continue;
     distinct += d * (1.0 - std::pow(std::max(0.0, 1.0 - p_v), rows));
   }
-  return distinct;
+  return SanitizeCardinality(distinct);
 }
 
 }  // namespace condsel

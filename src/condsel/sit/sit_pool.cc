@@ -8,6 +8,30 @@
 
 namespace condsel {
 
+JoinFactorMemo::JoinFactorMemo() {
+  for (int i = 0; i < kCapacity; ++i) {
+    keys_[i].store(kEmpty, std::memory_order_relaxed);
+    values_[i].store(kNoValue, std::memory_order_relaxed);
+  }
+}
+
+SitPool::SitPool() : join_memo_(std::make_unique<JoinFactorMemo>()) {}
+
+SitPool::SitPool(const SitPool& other)
+    : sits_(other.sits_),
+      generation_(other.generation_),
+      index_(other.index_),
+      join_memo_(std::make_unique<JoinFactorMemo>()) {}
+
+SitPool& SitPool::operator=(const SitPool& other) {
+  if (this == &other) return *this;
+  sits_ = other.sits_;
+  generation_ = other.generation_;
+  index_ = other.index_;
+  join_memo_ = std::make_unique<JoinFactorMemo>();
+  return *this;
+}
+
 SitId SitPool::Add(Sit sit) {
   std::sort(sit.expression.begin(), sit.expression.end());
   const auto key = std::make_tuple(sit.attr, sit.attr2, sit.expression);

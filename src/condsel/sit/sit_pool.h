@@ -11,7 +11,11 @@
 
 #pragma once
 
+#include <atomic>
+#include <bit>
+#include <cstdint>
 #include <map>
+#include <memory>
 #include <tuple>
 #include <vector>
 
@@ -21,8 +25,88 @@
 
 namespace condsel {
 
+// Join-only factor estimates, memoized for one pool. A join factor with
+// no filter on its join columns is estimated from its two SITs alone (the
+// weighted sum of JoinSelectivity over their piece pairs), so within one
+// pool the value is a pure function of the ordered SitId pair.
+// AtomicSelectivityProvider looks it up here before running the kernels.
+//
+// Fixed-size open addressing over atomic key and value slots; the pool is
+// shared read-only across threads, so lookups take no lock. A writer
+// claims a key slot with a CAS and publishes the value bits with a
+// release store. A reader that finds the key without a value yet, or no
+// free slot, computes the value itself; racing writers store the same
+// bits, because the kernels are deterministic.
+class JoinFactorMemo {
+ public:
+  // A J_i pool holds only base histograms on join columns, so it has at
+  // most one key per distinct join predicate (7 on each workload of
+  // bench/suite/). Pairs beyond this many keys are computed uncached.
+  static constexpr int kCapacity = 256;
+
+  JoinFactorMemo();
+
+  // The value memoized for (left, right). On a miss compute() supplies
+  // it, and it is stored for later lookups when a slot is free. compute()
+  // must return the same bits on every call for the same pair.
+  template <typename Fn>
+  double GetOrCompute(SitId left, SitId right, Fn&& compute) const {
+    // Ids are non-negative, so the +1 keeps every key off kEmpty.
+    const uint64_t key = ((uint64_t{static_cast<uint32_t>(left)} << 32) |
+                          static_cast<uint32_t>(right)) +
+                         1;
+    // Fibonacci hashing spreads neighbouring ids over the table.
+    size_t slot = static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >>
+                                      (64 - kLogCapacity));
+    for (int probe = 0; probe < kCapacity;
+         ++probe, slot = (slot + 1) % kCapacity) {
+      uint64_t seen = keys_[slot].load(std::memory_order_acquire);
+      if (seen == kEmpty &&
+          keys_[slot].compare_exchange_strong(seen, key,
+                                              std::memory_order_acq_rel)) {
+        seen = key;
+      }
+      if (seen != key) continue;  // another pair's slot
+      const uint64_t bits = values_[slot].load(std::memory_order_acquire);
+      if (bits != kNoValue) return std::bit_cast<double>(bits);
+      const double value = compute();
+      values_[slot].store(std::bit_cast<uint64_t>(value),
+                          std::memory_order_release);
+      return value;
+    }
+    return compute();
+  }
+
+ private:
+  static constexpr int kLogCapacity = 8;
+  static_assert(kCapacity == 1 << kLogCapacity);
+  static constexpr uint64_t kEmpty = 0;
+  // A NaN: no selectivity a join factor memoizes has these bits.
+  static constexpr uint64_t kNoValue = ~uint64_t{0};
+
+  mutable std::atomic<uint64_t> keys_[kCapacity];
+  mutable std::atomic<uint64_t> values_[kCapacity];
+};
+
+// The SITs available to one estimator, with the join-factor memo
+// (JoinFactorMemo) that every consumer of the pool shares: each service
+// snapshot, every Estimator over it, and the baselines.
+//
+// Ids are stable: Add only appends, and never changes a SIT already in
+// the pool, so memo entries stay valid across Add. A copy starts with an
+// empty memo (two copies may later Add different SITs under the same new
+// id, as the SIT advisor's trial pools do). Assignment replaces the memo
+// along with the contents: a copy-assigned pool starts empty, a
+// move-assigned one takes the source's memo. A moved-from pool keeps no
+// memo and estimates its join factors uncached.
 class SitPool {
  public:
+  SitPool();
+  SitPool(const SitPool& other);
+  SitPool& operator=(const SitPool& other);
+  SitPool(SitPool&&) = default;
+  SitPool& operator=(SitPool&&) = default;
+
   // Adds a SIT (deduplicating by (attr, expression)); returns its id.
   SitId Add(Sit sit);
 
@@ -43,12 +127,30 @@ class SitPool {
   uint64_t generation() const { return generation_; }
   void set_generation(uint64_t g) { generation_ = g; }
 
+  // The estimate of the join-only factor over `left` and `right` (in that
+  // order), memoized per pool: compute() runs only on a miss. SITs that
+  // are not this pool's own objects are computed uncached.
+  template <typename Fn>
+  double MemoizedJoinFactor(const Sit& left, const Sit& right,
+                            Fn&& compute) const {
+    if (join_memo_ == nullptr || !Owns(left) || !Owns(right)) {
+      return compute();
+    }
+    return join_memo_->GetOrCompute(left.id, right.id, compute);
+  }
+
  private:
+  bool Owns(const Sit& s) const {
+    return s.id >= 0 && s.id < size() &&
+           &sits_[static_cast<size_t>(s.id)] == &s;
+  }
+
   std::vector<Sit> sits_;
   uint64_t generation_ = 0;
   std::map<std::tuple<ColumnRef, ColumnRef, std::vector<Predicate>>,
            SitId>
       index_;
+  std::unique_ptr<JoinFactorMemo> join_memo_;
 };
 
 // The identity of one statistic: SIT_{attr.table}(attr | expression),

@@ -253,22 +253,96 @@ TEST_F(FactorApproxTest, PartitionedJoinEqualsWeightedPiecePairSum) {
     pool.Add(*right);
     SitMatcher matcher(&pool);
     AtomicSelectivityProvider fa(&matcher, &n_ind_);
+    // A second matcher and provider over the same pool share its
+    // join-factor memo.
+    SitMatcher other_matcher(&pool);
+    AtomicSelectivityProvider other(&other_matcher, &n_ind_);
     for (const Query* q : {&join_only, &filtered}) {
       matcher.BindQuery(q);
+      other_matcher.BindQuery(q);
       const PredSet factor = q->all_predicates();
       const FactorChoice c = fa.Score(*q, factor, 0);
+      const FactorChoice other_c = other.Score(*q, factor, 0);
       ASSERT_TRUE(c.feasible);
+      ASSERT_TRUE(other_c.feasible);
       const Predicate* filter = q == &filtered ? &q->predicate(1) : nullptr;
-      const double got = fa.Estimate(*q, factor, c);
       const double want = WeightedPiecePairSum(*c.sits[0].sit,
                                                *c.sits[1].sit, filter);
       EXPECT_GT(want, 0.0);
-      EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
-          << (right == &flat_right ? "4 x 1" : "4 x 3") << " pieces, "
-          << (filter != nullptr ? "filtered" : "unfiltered") << ": got "
-          << got << ", want " << want;
+      // Unfiltered: a memo miss, a hit, and a hit through the other
+      // provider. Filtered factors are computed every time.
+      const double got[] = {fa.Estimate(*q, factor, c),
+                            fa.Estimate(*q, factor, c),
+                            other.Estimate(*q, factor, other_c)};
+      for (int k = 0; k < 3; ++k) {
+        EXPECT_EQ(std::memcmp(&got[k], &want, sizeof(double)), 0)
+            << (right == &flat_right ? "4 x 1" : "4 x 3") << " pieces, "
+            << (filter != nullptr ? "filtered" : "unfiltered")
+            << ", estimate " << k << ": got " << got[k] << ", want "
+            << want;
+      }
     }
   }
+}
+
+// The join-factor memo is keyed by SitId pairs. Ids name other contents
+// once a pool is assigned over, or once two copies of one pool Add
+// different SITs, so neither may read an entry made for the old contents.
+TEST_F(FactorApproxTest, JoinFactorMemoFollowsPoolContents) {
+  const Sit rx_a = BaseSitFromPieces(
+      Rx(), {Histogram({Bucket{0, 9, 1.0, 5.0}}, 40.0),
+             Histogram({Bucket{5, 19, 1.0, 10.0}}, 60.0)});
+  const Sit rx_b = BaseSitFromPieces(
+      Rx(), {Histogram({Bucket{0, 4, 1.0, 5.0}}, 10.0),
+             Histogram({Bucket{10, 29, 1.0, 8.0}}, 90.0)});
+  const Sit sy_a = BaseSitFromPieces(
+      Sy(), {Histogram({Bucket{0, 14, 0.5, 10.0}, Bucket{15, 29, 0.5, 10.0}},
+                       100.0)});
+  const Sit sy_b = BaseSitFromPieces(
+      Sy(), {Histogram({Bucket{0, 7, 1.0, 8.0}}, 40.0),
+             Histogram({Bucket{3, 25, 1.0, 9.0}}, 25.0)});
+  const Query q({Predicate::Join(Rx(), Sy())});
+  // Estimates the join through a fresh matcher and provider, and checks
+  // it against the piece-pair sum of the pool's current SITs 0 and 1.
+  const auto expect_current = [&](const SitPool& pool, const char* what) {
+    SitMatcher matcher(&pool);
+    matcher.BindQuery(&q);
+    AtomicSelectivityProvider fa(&matcher, &n_ind_);
+    const FactorChoice c = fa.Score(q, 0b1, 0);
+    EXPECT_TRUE(c.feasible) << what;
+    if (!c.feasible) return;
+    const double got = fa.Estimate(q, 0b1, c);
+    const double want =
+        WeightedPiecePairSum(pool.sit(0), pool.sit(1), nullptr);
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+        << what << ": got " << got << ", want " << want;
+  };
+  ASSERT_NE(WeightedPiecePairSum(rx_a, sy_a, nullptr),
+            WeightedPiecePairSum(rx_b, sy_b, nullptr));
+  ASSERT_NE(WeightedPiecePairSum(rx_a, sy_a, nullptr),
+            WeightedPiecePairSum(rx_a, sy_b, nullptr));
+
+  // Same ids, different pieces, copy-assigned into the same object.
+  SitPool pool;
+  pool.Add(rx_a);
+  pool.Add(sy_a);
+  expect_current(pool, "before assignment");
+  SitPool replacement;
+  replacement.Add(rx_b);
+  replacement.Add(sy_b);
+  pool = replacement;
+  expect_current(pool, "after assignment");
+
+  // Two copies of one pool, each given a different SIT under id 1.
+  SitPool base;
+  base.Add(rx_a);
+  SitPool copy_a = base;
+  SitPool copy_b = base;
+  ASSERT_EQ(copy_a.Add(sy_a), 1);
+  ASSERT_EQ(copy_b.Add(sy_b), 1);
+  expect_current(copy_a, "first copy");
+  expect_current(copy_b, "second copy");
+  expect_current(copy_a, "first copy again");
 }
 
 }  // namespace

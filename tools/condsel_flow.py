@@ -477,7 +477,7 @@ SINK_FIELD_RE = re.compile(
     r"([A-Za-z_]\w*(?:\.|->))(selectivity|factor_selectivity|"
     r"head_selectivity)\s*([*+/-]?=)(?!=)\s*(.+?);")
 ASSIGN_RE = re.compile(
-    r"(?:^|[({;]\s*)(?:const\s+)?(?:double|auto)?\s*&?\s*"
+    r"(?:^\s*|[({;]\s*)(?:const\s+)?(?:double|auto)?\s*&?\s*"
     r"([A-Za-z_]\w*)\s*([*+/-]?=)(?!=)\s*(.+?);")
 DOUBLE_RETURN_RE = re.compile(r"\b(?:double|StatusOr<double>)\b")
 
