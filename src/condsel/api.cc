@@ -64,11 +64,6 @@ struct Estimator::Session {
   // sub-plan requests hit the memo.
   DerivationDag dag;
   size_t audited_nodes = 0;
-  // Pool generation the session was built against. The matcher's
-  // applicability index holds pointers into the pool's SIT vector, so a
-  // delta-refreshed pool (same object, new contents and generation)
-  // invalidates the whole session, not just the memo.
-  uint64_t pool_generation = 0;
 };
 
 Estimator::Estimator(const Catalog* catalog, const SitPool* pool,
@@ -87,12 +82,8 @@ Estimator::Estimator(const Catalog* catalog, const SitPool* pool,
 Estimator::~Estimator() = default;
 
 Status Estimator::ValidatePool() const {
-  if (pool_validated_ && pool_generation_validated_ == pool_->generation()) {
-    return pool_status_;
-  }
+  if (pool_validated_) return pool_status_;
   pool_validated_ = true;
-  pool_generation_validated_ = pool_->generation();
-  pool_status_ = Status::Ok();
   // A pool is only meaningful against its own catalog; one deserialized
   // against a different database would make the matcher dereference
   // out-of-range table/column ids (formerly a CHECK-abort deep inside
@@ -160,17 +151,9 @@ Estimator::Session& Estimator::SessionFor(const Query& query) {
   // memoized search.
   const std::vector<Predicate>& key = query.predicates();
   auto it = sessions_.find(key);
-  if (it != sessions_.end()) {
-    if (it->second->pool_generation == pool_->generation()) {
-      return *it->second;
-    }
-    // The pool was refreshed in place (delta maintenance): the session's
-    // matcher points at SITs that no longer exist. Rebuild from scratch.
-    sessions_.erase(it);
-  }
+  if (it != sessions_.end()) return *it->second;
 
   auto session = std::make_unique<Session>(query);
-  session->pool_generation = pool_->generation();
   session->matcher = std::make_unique<SitMatcher>(pool_);
   session->matcher->BindQuery(&session->query);
   // Leaked singletons: error functions are stateless, and static objects
@@ -239,8 +222,7 @@ StatusOr<double> Estimator::TryEstimateCardinality(const Query& query,
                                                    PredSet p) {
   StatusOr<double> sel = TryEstimateSelectivity(query, p);
   if (!sel.ok()) return sel;
-  return SanitizeCardinality(*sel *
-                             CrossProductCardinality(*catalog_, query, p));
+  return CardinalityFromSelectivity(*catalog_, query, p, *sel);
 }
 
 StatusOr<double> Estimator::TryEstimateCardinality(const Query& query) {
@@ -292,12 +274,6 @@ std::string Estimator::Explain(const Query& query) {
 const GsStats* Estimator::StatsFor(const Query& query) const {
   auto it = sessions_.find(query.predicates());
   return it == sessions_.end() ? nullptr : &it->second->gs->stats();
-}
-
-const DerivationDag* Estimator::DerivationFor(const Query& query) const {
-  auto it = sessions_.find(query.predicates());
-  if (it == sessions_.end()) return nullptr;
-  return it->second->gs->recorder();
 }
 
 void Estimator::ClearCache() { sessions_.clear(); }

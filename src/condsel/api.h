@@ -50,14 +50,16 @@ enum class Ranking { kNInd, kDiff };
 
 class Estimator {
  public:
-  // Both pointers are borrowed and must outlive the estimator. The pool
-  // must contain base histograms for every column the queries reference
-  // (TryEstimate* reports a violation as FAILED_PRECONDITION; the
-  // non-Try wrappers abort). `shape_cache` (optional, borrowed) shares
-  // decomposition skeletons across estimators — a service passes one
-  // cache to every per-attempt estimator so structurally identical
-  // statements enumerate candidates once; when null, the estimator uses
-  // a private cache (still shared across its own sessions).
+  // Both pointers are borrowed and must outlive the estimator unchanged,
+  // because its sessions keep estimates and SIT pointers from them: new
+  // statistics take a new pool and a new Estimator. The pool must contain
+  // base histograms for every column the queries reference (TryEstimate*
+  // reports a violation as FAILED_PRECONDITION; the non-Try wrappers
+  // abort). `shape_cache` (optional, borrowed) shares decomposition
+  // skeletons across estimators — a service passes one cache to every
+  // per-attempt estimator so structurally identical statements enumerate
+  // candidates once; when null, the estimator uses a private cache (still
+  // shared across its own sessions).
   Estimator(const Catalog* catalog, const SitPool* pool,
             Ranking ranking = Ranking::kDiff,
             EstimationBudget budget = EstimationBudget{},
@@ -118,10 +120,6 @@ class Estimator {
   void set_audit(bool on) { audit_ = on; }
   bool audit() const { return audit_; }
 
-  // Recorded derivation DAG for `query`'s session, or nullptr if auditing
-  // was off when the session was created (or no estimate was requested).
-  const DerivationDag* DerivationFor(const Query& query) const;
-
   // Number of distinct queries with a live memoized search.
   size_t cached_queries() const { return sessions_.size(); }
   void ClearCache();
@@ -147,12 +145,9 @@ class Estimator {
   // own_shapes_ when none was provided.
   ShapeCache own_shapes_;
   ShapeCache* shape_cache_;
-  // Lazily computed, cached result of ValidatePool, keyed by the pool's
-  // generation stamp: a delta-refreshed pool (same object, new contents)
-  // re-validates; a pool outside the maintenance path (generation 0,
-  // never changing) validates once.
+  // Lazily computed, cached result of ValidatePool: the pool never
+  // changes, so it validates once.
   mutable bool pool_validated_ = false;
-  mutable uint64_t pool_generation_validated_ = 0;
   mutable Status pool_status_;
   std::map<std::vector<Predicate>, std::unique_ptr<Session>> sessions_;
 };

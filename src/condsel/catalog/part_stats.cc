@@ -449,9 +449,7 @@ StatusOr<std::shared_ptr<const SitPool>> PartStatsMaintainer::MergedPool()
   StatusOr<SitPool> pool =
       stats_.BuildMergedPool(*catalog_, options_.max_buckets);
   if (!pool.ok()) return pool.status();
-  auto out = std::make_shared<SitPool>(std::move(pool.value()));
-  out->set_generation(stats_generation_);
-  return std::shared_ptr<const SitPool>(std::move(out));
+  return std::make_shared<const SitPool>(std::move(pool.value()));
 }
 
 }  // namespace condsel

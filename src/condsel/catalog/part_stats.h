@@ -135,12 +135,12 @@ class PartStatsMaintainer {
   // The maintained catalog (the object handed to the constructor).
   const Catalog& catalog() const { return *catalog_; }
 
-  // Monotonic stamp, bumped by BuildAll and every ApplyDelta; merged
-  // pools carry it so estimate caches can detect staleness.
+  // Monotonic stamp, bumped by BuildAll and every ApplyDelta (0 before
+  // the first build).
   uint64_t stats_generation() const { return stats_generation_; }
 
-  // Merges the current entries into a pool stamped with
-  // stats_generation(). Fails (never poisons) on corrupt pieces.
+  // Merges the current entries into a new pool. Fails (never poisons) on
+  // corrupt pieces.
   StatusOr<std::shared_ptr<const SitPool>> MergedPool() const;
 
  private:

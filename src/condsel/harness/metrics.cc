@@ -53,4 +53,10 @@ double CrossProductCardinality(const Catalog& catalog, const Query& query,
   return cross;
 }
 
+double CardinalityFromSelectivity(const Catalog& catalog, const Query& query,
+                                  PredSet p, double selectivity) {
+  return SanitizeCardinality(selectivity *
+                             CrossProductCardinality(catalog, query, p));
+}
+
 }  // namespace condsel

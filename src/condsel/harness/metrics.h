@@ -28,5 +28,11 @@ std::vector<PredSet> SubPlanFamily(const Query& query);
 double CrossProductCardinality(const Catalog& catalog, const Query& query,
                                PredSet p);
 
+// The cardinality estimate for P from its selectivity: `selectivity`
+// times CrossProductCardinality, sanitized. Every estimator entry point
+// that reports a cardinality derives it here, so they agree bit for bit.
+double CardinalityFromSelectivity(const Catalog& catalog, const Query& query,
+                                  PredSet p, double selectivity);
+
 }  // namespace condsel
 

@@ -143,11 +143,6 @@ class AtomicSelectivityProvider {
   const ErrorFunction& error_fn() const { return *error_fn_; }
   SitMatcher& matcher() { return *matcher_; }
 
-  // Generation stamp of the statistics pool behind the matcher (0 for
-  // pools outside the delta-maintenance path). Estimate caches keyed by
-  // predicate subsets bind to this (SelectivityMemo::BindGeneration).
-  uint64_t pool_generation() const { return matcher_->pool().generation(); }
-
  private:
   // Scoring core shared by Score and BaseAtom. BaseAtom scores through
   // here with no deadline and no throw hook: the independence fallback is

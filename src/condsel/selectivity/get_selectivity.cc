@@ -47,10 +47,6 @@ CONDSEL_HOT SelEstimate GetSelectivity::Compute(PredSet p) {
   // for the next call.
   const ScopedDeadline scoped(
       &deadline_, budget_ != nullptr ? budget_->deadline_seconds : 0.0);
-  // Bind the memo to the statistics generation behind the provider: if a
-  // delta refresh swapped the pool between Compute() calls, the cached
-  // subsets describe the old statistics and are dropped here.
-  memo_.BindGeneration(provider_->pool_generation());
   // Rewind the scratch arena (its blocks are retained): every candidate
   // list the previous call carved out is dead by contract, because no
   // arena pointer escapes a Compute() call.

@@ -63,9 +63,12 @@ struct SelEstimate {
 class GetSelectivity {
  public:
   // All pointers are borrowed and must outlive this object. The
-  // provider's matcher must already be bound to `query`. `budget` may
-  // be null (unlimited); it is re-read on every Compute() call, so the
-  // owner can tighten or relax it between requests. `shape` (optional)
+  // provider's matcher must already be bound to `query`. The pool behind
+  // that matcher must not change while this object lives, because the
+  // memo keeps every estimate made from it: new statistics take a new
+  // pool and a new GetSelectivity. `budget` may be null (unlimited); it
+  // is re-read on every Compute() call, so the owner can tighten or
+  // relax it between requests. `shape` (optional)
   // is the decomposition skeleton of `query`'s canonical shape
   // (ShapeCache::Acquire): when attached, candidate enumeration is
   // served from — and lazily fills — the shared skeleton, so
@@ -151,8 +154,7 @@ class GetSelectivity {
   // factor_heads_ by the lowest predicate of P', so a lookup scans only
   // the entries sharing it rather than every entry of the DP (hundreds on
   // a 7-join statement). Re-created empty right after arena_.Reset() at
-  // the top of every Compute(), so no entry outlives the call, and with
-  // it the statistics generation its Sit pointers belong to.
+  // the top of every Compute(), so no entry outlives the call.
   ArenaVector<FactorEstimate> factor_estimates_{&arena_};
   std::array<int32_t, kMaxPredicates> factor_heads_{};
   // Candidate-list scratch for Score calls.

@@ -35,13 +35,4 @@ std::string FactorToString(const Query& query, const Factor& f) {
   return s;
 }
 
-std::string DecompositionToString(const Query& query, const Decomposition& d) {
-  std::string s;
-  for (size_t i = 0; i < d.size(); ++i) {
-    if (i > 0) s += " * ";
-    s += FactorToString(query, d[i]);
-  }
-  return s;
-}
-
 }  // namespace condsel

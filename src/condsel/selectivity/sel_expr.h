@@ -30,7 +30,6 @@ using Decomposition = std::vector<Factor>;
 bool IsChainDecomposition(PredSet full, const Decomposition& d);
 
 std::string FactorToString(const Query& query, const Factor& f);
-std::string DecompositionToString(const Query& query, const Decomposition& d);
 
 }  // namespace condsel
 

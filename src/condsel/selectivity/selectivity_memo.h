@@ -10,9 +10,7 @@
 //  - keys below kDenseSlots (every query of at most kDenseBits
 //    predicates) resolve through a dense pointer table indexed directly
 //    by the bitmask — one bounds check and one load, no hashing. The
-//    table grows geometrically on insert and is retained across
-//    generation rebinds (refilled with nullptr), so a warmed-up
-//    estimator indexes without allocating.
+//    table grows geometrically on insert.
 //  - larger keys (17..32-predicate universes) fall back to the hash map.
 // A single Find may consult both tiers only when the overflow map is
 // non-empty, which cannot happen for small universes.
@@ -70,21 +68,6 @@ class SelectivityMemo {
   const DerivationAtom* FindAtom(int pred) const;
   const DerivationAtom& InsertAtom(int pred, DerivationAtom atom);
 
-  size_t size() const;
-
-  // Binds the memo to a statistics generation. Entries cache estimates
-  // derived from one pool; a subset bitmask alone does not identify an
-  // estimate once the statistics behind it change. If `gen` differs from
-  // the bound generation (a delta refresh happened between Compute()
-  // calls), every entry and atom is dropped before rebinding — the dense
-  // table keeps its storage and is refilled with nullptr, so the rebind
-  // itself allocates nothing. The first call binds without clearing.
-  // Entry references handed out before a rebind are invalidated — the
-  // driver calls this only at the top of a Compute() pass, before taking
-  // any.
-  void BindGeneration(uint64_t gen);
-  uint64_t bound_generation() const { return generation_; }
-
  private:
   std::deque<MemoEntry> entries_;
   // Dense tier: slot p holds the entry for subset p (nullptr = absent).
@@ -93,8 +76,6 @@ class SelectivityMemo {
   std::unordered_map<PredSet, const MemoEntry*> overflow_;
   DerivationAtom atoms_[kMaxPredicates];
   bool atom_present_[kMaxPredicates] = {};
-  bool generation_bound_ = false;
-  uint64_t generation_ = 0;
 };
 
 }  // namespace condsel

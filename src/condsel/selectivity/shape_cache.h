@@ -16,11 +16,11 @@
 // sessions, a prewarmed workload's repeats) copy the skeleton instead of
 // re-running the enumeration.
 //
-// Invalidation: none needed. The skeleton holds no statistics — snapshot
-// epochs and pool generations (which do invalidate SelectivityMemo, see
-// BindGeneration) leave it untouched, because candidate lists cannot
-// change unless the statement's structure does, and a different structure
-// is a different key.
+// Invalidation: none needed. The skeleton holds no statistics, so it
+// outlives any one pool: a new snapshot epoch (a new pool, and new
+// estimators with new memos) leaves it untouched, because candidate lists
+// cannot change unless the statement's structure does, and a different
+// structure is a different key.
 //
 // Correctness gates: a list is stored only when its enumeration ran to
 // completion (never from a deadline-truncated pass), so a cached copy is

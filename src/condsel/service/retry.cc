@@ -52,6 +52,7 @@ RetryDecision DecideRetry(const RetryPolicy& policy, StatusCode code,
   if (!(remaining_deadline_seconds > backoff)) {
     // Deadline exhaustion never retries: the backoff alone would outlive
     // the caller's budget, so the retry could not even start in time.
+    d.deadline_exhausted = true;
     d.reason = "caller deadline exhausted";
     return d;
   }

@@ -53,6 +53,9 @@ double BackoffSeconds(const RetryPolicy& policy, int attempt, Rng* rng);
 struct RetryDecision {
   bool retry = false;
   double backoff_seconds = 0.0;
+  // The retry was denied because its backoff would outlive the caller's
+  // remaining deadline.
+  bool deadline_exhausted = false;
   const char* reason = "";
 };
 

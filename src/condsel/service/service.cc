@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "condsel/common/fault_injector.h"
-#include "condsel/common/numeric.h"
 #include "condsel/harness/metrics.h"
 
 namespace condsel {
@@ -62,7 +61,23 @@ EstimationService::EstimationService(ServiceOptions options)
       jitter_rng_(kJitterSeed) {}
 
 StatusOr<uint64_t> EstimationService::Refresh(Catalog catalog, SitPool pool) {
-  return publisher_.Publish(std::move(catalog), std::move(pool));
+  return publisher_.Publish(std::move(catalog),
+                            std::make_shared<const SitPool>(std::move(pool)));
+}
+
+StatusOr<uint64_t> EstimationService::PublishMergedPool() {
+  StatusOr<std::shared_ptr<const SitPool>> pool = maintainer_->MergedPool();
+  if (!pool.ok()) return StatusOr<uint64_t>(pool.status());
+  // The snapshot gets its own catalog: Table copies share the immutable
+  // part data through their handles, so unchanged parts are never
+  // duplicated across epochs.
+  Catalog catalog = maintainer_->catalog();
+  // The merge and publish block only other maintenance passes and
+  // refreshes; epoch_mu_ is taken only inside Publish's non-blocking
+  // scoped blocks, so a session's Acquire() waits at most for a counter
+  // bump or a pointer swap, hence:
+  // condsel: allow(blocking-reachable)
+  return publisher_.Publish(std::move(catalog), std::move(pool.value()));
 }
 
 StatusOr<uint64_t> EstimationService::EnableDeltaMaintenance(
@@ -77,19 +92,7 @@ StatusOr<uint64_t> EstimationService::EnableDeltaMaintenance(
     Status built = maintainer_->BuildAll();
     if (!built.ok()) return StatusOr<uint64_t>(built);
   }
-  StatusOr<std::shared_ptr<const SitPool>> pool = maintainer_->MergedPool();
-  if (!pool.ok()) return StatusOr<uint64_t>(pool.status());
-  // The snapshot gets its own catalog: Table copies share the immutable
-  // part data through their handles, so unchanged parts are never
-  // duplicated across epochs.
-  Catalog catalog = maintainer_->catalog();
-  SitPool pool_copy = *pool.value();
-  // The build and publish above block only other maintenance passes and
-  // refreshes; epoch_mu_ is taken only inside Publish's non-blocking
-  // scoped blocks, so a session's Acquire() waits at most for a counter
-  // bump or a pointer swap, hence:
-  // condsel: allow(blocking-reachable)
-  return publisher_.Publish(std::move(catalog), std::move(pool_copy));
+  return PublishMergedPool();
 }
 
 StatusOr<DeltaReport> EstimationService::ApplyDelta(const DeltaBatch& batch) {
@@ -100,21 +103,10 @@ StatusOr<DeltaReport> EstimationService::ApplyDelta(const DeltaBatch& batch) {
   }
   StatusOr<DeltaReport> report = maintainer_->ApplyDelta(batch);
   if (!report.ok()) return report;
-  StatusOr<std::shared_ptr<const SitPool>> pool = maintainer_->MergedPool();
-  if (!pool.ok()) {
-    // The rebuilt entries failed validation (e.g. kCorruptPartStats):
-    // surface the error with the previous epoch still current rather
-    // than publish a poisoned pool.
-    return StatusOr<DeltaReport>(pool.status());
-  }
-  Catalog catalog = maintainer_->catalog();
-  SitPool pool_copy = *pool.value();
-  // Blocking here delays only other maintenance passes and refreshes;
-  // the acquire path never waits on it (see EnableDeltaMaintenance),
-  // hence:
-  // condsel: allow(blocking-reachable)
-  StatusOr<uint64_t> epoch = publisher_.Publish(std::move(catalog),
-                                                std::move(pool_copy));
+  // A merge that fails validation (e.g. kCorruptPartStats) surfaces its
+  // error with the previous epoch still current rather than publish a
+  // poisoned pool.
+  StatusOr<uint64_t> epoch = PublishMergedPool();
   if (!epoch.ok()) return StatusOr<DeltaReport>(epoch.status());
   return report;
 }
@@ -181,11 +173,10 @@ StatusOr<ServiceEstimate> EstimationService::Attempt(
 
   ServiceEstimate out;
   out.selectivity = selectivity;
-  // Same expression as Estimator::TryEstimateCardinality, so Submit stays
-  // bit-identical to a direct Estimator without a second search pass.
-  out.cardinality = SanitizeCardinality(
-      selectivity *
-      CrossProductCardinality(snap.catalog(), query, query.all_predicates()));
+  // Estimator::TryEstimateCardinality's formula, without its second pass
+  // over the search.
+  out.cardinality = CardinalityFromSelectivity(
+      snap.catalog(), query, query.all_predicates(), selectivity);
   out.epoch = snap.epoch();
   out.mode = mode;
   if (const GsStats* stats = estimator.StatsFor(query)) {
@@ -307,7 +298,7 @@ StatusOr<ServiceEstimate> EstimationService::Submit(const std::string& tenant,
                              remaining(), &jitter_rng_);
     }
     if (!decision.retry) {
-      if (decision.reason == std::string("caller deadline exhausted")) {
+      if (decision.deadline_exhausted) {
         counters_.no_retry_deadline.fetch_add(1, std::memory_order_relaxed);
       }
       break;

@@ -153,6 +153,9 @@ class EstimationService {
   // budget left.
   EstimationBudget BudgetForMode(ServiceMode mode,
                                  double remaining_seconds) const;
+  // Merges the maintainer's statistics into a new pool and publishes it
+  // with the maintainer's catalog as the next epoch.
+  StatusOr<uint64_t> PublishMergedPool() CONDSEL_REQUIRES(maintenance_mu_);
   // One estimation attempt against `snap`; adds its search stats to the
   // ledger. Returns the estimate or the attempt's failure status.
   StatusOr<ServiceEstimate> Attempt(const Query& query,

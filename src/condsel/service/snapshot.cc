@@ -8,7 +8,8 @@
 
 namespace condsel {
 
-StatusOr<uint64_t> SnapshotPublisher::Publish(Catalog catalog, SitPool pool) {
+StatusOr<uint64_t> SnapshotPublisher::Publish(
+    Catalog catalog, std::shared_ptr<const SitPool> pool) {
   // Writers serialize end-to-end: two concurrent refreshes must not
   // interleave their epoch numbering with their pointer swaps, or a
   // lower-numbered snapshot could overwrite a higher one.

@@ -42,7 +42,8 @@ namespace condsel {
 
 class Snapshot {
  public:
-  Snapshot(uint64_t epoch, Catalog catalog, SitPool pool)
+  Snapshot(uint64_t epoch, Catalog catalog,
+           std::shared_ptr<const SitPool> pool)
       : epoch_(epoch),
         catalog_(std::move(catalog)),
         pool_(std::move(pool)),
@@ -53,7 +54,7 @@ class Snapshot {
 
   uint64_t epoch() const { return epoch_; }
   const Catalog& catalog() const { return catalog_; }
-  const SitPool& pool() const { return pool_; }
+  const SitPool& pool() const { return *pool_; }
 
   // Torn-publication detector for the chaos soak: the seal is derived
   // from the epoch in the constructor, so any snapshot reachable through
@@ -68,18 +69,20 @@ class Snapshot {
 
   const uint64_t epoch_;
   const Catalog catalog_;
-  const SitPool pool_;
+  const std::shared_ptr<const SitPool> pool_;
   const uint64_t seal_;  // written last in the ctor init order
 };
 
 // Publishes snapshots and tracks epoch lifetimes.
 class SnapshotPublisher {
  public:
-  // Swaps in a new epoch built from `catalog` + `pool`. Respects the
-  // FaultInjector's kFailSnapshotSwap (reports UNAVAILABLE, current epoch
-  // untouched) and kSlowRefresh (stalls before taking any lock) hooks.
-  // Thread-safe; concurrent publishers serialize, each gets its own epoch.
-  StatusOr<uint64_t> Publish(Catalog catalog, SitPool pool)
+  // Swaps in a new epoch built from `catalog` + `pool` (not null, and
+  // shared, not copied). Respects the FaultInjector's kFailSnapshotSwap
+  // (reports UNAVAILABLE, current epoch untouched) and kSlowRefresh
+  // (stalls before taking any lock) hooks. Thread-safe; concurrent
+  // publishers serialize, each gets its own epoch.
+  StatusOr<uint64_t> Publish(Catalog catalog,
+                             std::shared_ptr<const SitPool> pool)
       CONDSEL_EXCLUDES(epoch_mu_);
 
   // The current snapshot, or nullptr before the first successful Publish.

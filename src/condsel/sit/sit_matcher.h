@@ -61,6 +61,8 @@ class SitVec {
 
 class SitMatcher {
  public:
+  // `pool` is borrowed and must outlive the matcher, unchanged: the bound
+  // index points into its SITs.
   explicit SitMatcher(const SitPool* pool);
 
   // Binds a query: precomputes, per attribute (and per attribute pair),

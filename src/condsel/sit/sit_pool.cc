@@ -19,18 +19,8 @@ SitPool::SitPool() : join_memo_(std::make_unique<JoinFactorMemo>()) {}
 
 SitPool::SitPool(const SitPool& other)
     : sits_(other.sits_),
-      generation_(other.generation_),
       index_(other.index_),
       join_memo_(std::make_unique<JoinFactorMemo>()) {}
-
-SitPool& SitPool::operator=(const SitPool& other) {
-  if (this == &other) return *this;
-  sits_ = other.sits_;
-  generation_ = other.generation_;
-  index_ = other.index_;
-  join_memo_ = std::make_unique<JoinFactorMemo>();
-  return *this;
-}
 
 SitId SitPool::Add(Sit sit) {
   std::sort(sit.expression.begin(), sit.expression.end());

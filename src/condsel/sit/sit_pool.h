@@ -95,15 +95,16 @@ class JoinFactorMemo {
 // Ids are stable: Add only appends, and never changes a SIT already in
 // the pool, so memo entries stay valid across Add. A copy starts with an
 // empty memo (two copies may later Add different SITs under the same new
-// id, as the SIT advisor's trial pools do). Assignment replaces the memo
-// along with the contents: a copy-assigned pool starts empty, a
-// move-assigned one takes the source's memo. A moved-from pool keeps no
-// memo and estimates its join factors uncached.
+// id, as the SIT advisor's trial pools do). A move-assigned pool takes
+// the source's memo along with its contents; a moved-from pool keeps no
+// memo and estimates its join factors uncached. There is no copy
+// assignment: Estimator, GetSelectivity and SitMatcher borrow a pool that
+// must not change, so new statistics are a new pool.
 class SitPool {
  public:
   SitPool();
   SitPool(const SitPool& other);
-  SitPool& operator=(const SitPool& other);
+  SitPool& operator=(const SitPool&) = delete;
   SitPool(SitPool&&) = default;
   SitPool& operator=(SitPool&&) = default;
 
@@ -119,13 +120,6 @@ class SitPool {
 
   // True if a SIT with this (attr, canonical expression) already exists.
   bool Has(ColumnRef attr, const std::vector<Predicate>& expression) const;
-
-  // Statistics generation this pool was built from (0 for pools outside
-  // the delta-maintenance path). Estimate caches keyed by predicate sets
-  // bind to this stamp: two pools with different generations may assign
-  // the same SitId to different statistics contents.
-  uint64_t generation() const { return generation_; }
-  void set_generation(uint64_t g) { generation_ = g; }
 
   // The estimate of the join-only factor over `left` and `right` (in that
   // order), memoized per pool: compute() runs only on a miss. SITs that
@@ -146,7 +140,6 @@ class SitPool {
   }
 
   std::vector<Sit> sits_;
-  uint64_t generation_ = 0;
   std::map<std::tuple<ColumnRef, ColumnRef, std::vector<Predicate>>,
            SitId>
       index_;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -285,8 +286,12 @@ TEST_F(FactorApproxTest, PartitionedJoinEqualsWeightedPiecePairSum) {
   }
 }
 
+// New statistics are a new pool: one pool cannot be copied over another
+// under the readers that borrow it.
+static_assert(!std::is_copy_assignable_v<SitPool>);
+
 // The join-factor memo is keyed by SitId pairs. Ids name other contents
-// once a pool is assigned over, or once two copies of one pool Add
+// once a pool is move-assigned over, or once two copies of one pool Add
 // different SITs, so neither may read an entry made for the old contents.
 TEST_F(FactorApproxTest, JoinFactorMemoFollowsPoolContents) {
   const Sit rx_a = BaseSitFromPieces(
@@ -322,7 +327,7 @@ TEST_F(FactorApproxTest, JoinFactorMemoFollowsPoolContents) {
   ASSERT_NE(WeightedPiecePairSum(rx_a, sy_a, nullptr),
             WeightedPiecePairSum(rx_a, sy_b, nullptr));
 
-  // Same ids, different pieces, copy-assigned into the same object.
+  // Same ids, different pieces, move-assigned into the same object.
   SitPool pool;
   pool.Add(rx_a);
   pool.Add(sy_a);
@@ -330,7 +335,7 @@ TEST_F(FactorApproxTest, JoinFactorMemoFollowsPoolContents) {
   SitPool replacement;
   replacement.Add(rx_b);
   replacement.Add(sy_b);
-  pool = replacement;
+  pool = std::move(replacement);
   expect_current(pool, "after assignment");
 
   // Two copies of one pool, each given a different SIT under id 1.

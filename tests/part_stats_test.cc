@@ -1,8 +1,8 @@
 // Tests for partitioned statistics (catalog/part_stats.h): spec
 // enumeration vs GenerateSitPool, single-part bit-identity, multi-part
 // merge mass conservation, ApplyDelta's rebuilt/dropped/cross-table/
-// reused accounting, merge-validation under kCorruptPartStats, Audit
-// failure modes, and the memo/generation staleness regression.
+// reused accounting, merge-validation under kCorruptPartStats, and Audit
+// failure modes.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 #include "condsel/common/status.h"
 #include "condsel/exec/cardinality_cache.h"
 #include "condsel/exec/evaluator.h"
-#include "condsel/selectivity/selectivity_memo.h"
 #include "condsel/sit/sit_builder.h"
 #include "condsel/sit/sit_pool.h"
 #include "test_util.h"
@@ -389,66 +388,6 @@ TEST(PartStatsAuditTest, FlagsMissingStaleAndCorruptEntries) {
   EXPECT_EQ(corrupt.Audit(catalog).code(), StatusCode::kDataLoss);
   EXPECT_EQ(corrupt.BuildMergedPool(catalog, 64).status().code(),
             StatusCode::kDataLoss);
-}
-
-TEST(PartStatsMemoTest, DeltaRefreshInvalidatesMemoizedEstimates) {
-  Catalog catalog = MakeFactCatalog(2);
-  PartStatsMaintainer maintainer(&catalog, Workload(), 1, Options());
-  ASSERT_TRUE(maintainer.BuildAll().ok());
-  SitPool pool = *maintainer.MergedPool().value();
-  ASSERT_GT(pool.generation(), 0u);
-
-  Estimator estimator(&catalog, &pool);
-  const Query q = Workload()[0];
-  const StatusOr<double> before = estimator.TryEstimateSelectivity(q);
-  ASSERT_TRUE(before.ok());
-
-  // Shift the distribution: 40 rows with a = 0 (outside the filter
-  // range) and d_id = 0, then refresh the pool object *in place* — the
-  // estimator keeps the same pool pointer; only the generation tells it
-  // the statistics changed.
-  DeltaBatch batch;
-  batch.table = 0;
-  batch.insert_rows.assign(40, {0, 0});
-  ASSERT_TRUE(maintainer.ApplyDelta(batch).ok());
-  const uint64_t old_generation = pool.generation();
-  pool = *maintainer.MergedPool().value();
-  ASSERT_GT(pool.generation(), old_generation);
-
-  const StatusOr<double> after = estimator.TryEstimateSelectivity(q);
-  ASSERT_TRUE(after.ok());
-  EXPECT_NE(after.value(), before.value());
-
-  // Without generation-aware memo invalidation the second estimate would
-  // replay the stale memo entry; it must instead match a cold estimator
-  // bit for bit.
-  Estimator cold(&catalog, &pool);
-  const StatusOr<double> fresh = cold.TryEstimateSelectivity(q);
-  ASSERT_TRUE(fresh.ok());
-  EXPECT_EQ(after.value(), fresh.value());
-}
-
-TEST(PartStatsMemoTest, BindGenerationClearsEntriesOnlyOnChange) {
-  SelectivityMemo memo;
-  MemoEntry entry;
-  entry.selectivity = 0.25;
-  entry.kind = MemoEntryKind::kAtomic;
-
-  // First bind adopts the generation without clearing.
-  memo.Insert(3, entry);
-  memo.BindGeneration(7);
-  EXPECT_NE(memo.Find(3), nullptr);
-  EXPECT_EQ(memo.bound_generation(), 7u);
-
-  // Rebinding the same generation keeps entries; a new generation drops
-  // them (and the fallback atoms) before rebinding.
-  memo.BindGeneration(7);
-  ASSERT_NE(memo.Find(3), nullptr);
-  EXPECT_EQ(memo.Find(3)->selectivity, 0.25);
-  memo.BindGeneration(8);
-  EXPECT_EQ(memo.Find(3), nullptr);
-  EXPECT_EQ(memo.size(), 0u);
-  EXPECT_EQ(memo.bound_generation(), 8u);
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -106,6 +107,9 @@ TEST(RetryTest, DecideRetryTable) {
     const RetryDecision d =
         DecideRetry(policy, c.code, c.attempt, c.remaining, &rng);
     EXPECT_EQ(d.retry, c.expect_retry) << c.name;
+    EXPECT_EQ(d.deadline_exhausted,
+              std::string(c.expect_reason_substr) == "deadline exhausted")
+        << c.name;
     if (c.expect_reason_substr[0] != '\0') {
       EXPECT_NE(std::strstr(d.reason, c.expect_reason_substr), nullptr)
           << c.name << ": reason was '" << d.reason << "'";
@@ -462,14 +466,14 @@ TEST(SnapshotTest, AcquireBeforeFirstPublishIsNull) {
 TEST(SnapshotTest, HandlesPinEpochsAndRetireByRefcount) {
   const Catalog catalog = test::MakeTinyCatalog();
   SnapshotPublisher publisher;
-  const StatusOr<uint64_t> first = publisher.Publish(catalog, SitPool{});
+  const StatusOr<uint64_t> first = publisher.Publish(catalog, std::make_shared<const SitPool>());
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(first.value(), 1u);
   std::shared_ptr<const Snapshot> pinned = publisher.Acquire();
   ASSERT_NE(pinned, nullptr);
   EXPECT_TRUE(pinned->Coherent());
 
-  const StatusOr<uint64_t> second = publisher.Publish(catalog, SitPool{});
+  const StatusOr<uint64_t> second = publisher.Publish(catalog, std::make_shared<const SitPool>());
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second.value(), 2u);
   // The in-flight handle still reads epoch 1; new acquires see epoch 2.
@@ -484,10 +488,10 @@ TEST(SnapshotTest, HandlesPinEpochsAndRetireByRefcount) {
 TEST(SnapshotTest, FailedSwapKeepsThePreviousEpoch) {
   const Catalog catalog = test::MakeTinyCatalog();
   SnapshotPublisher publisher;
-  ASSERT_TRUE(publisher.Publish(catalog, SitPool{}).ok());
+  ASSERT_TRUE(publisher.Publish(catalog, std::make_shared<const SitPool>()).ok());
   {
     const ScopedFault fault(Fault::kFailSnapshotSwap);
-    const StatusOr<uint64_t> swap = publisher.Publish(catalog, SitPool{});
+    const StatusOr<uint64_t> swap = publisher.Publish(catalog, std::make_shared<const SitPool>());
     EXPECT_FALSE(swap.ok());
     EXPECT_EQ(swap.status().code(), StatusCode::kUnavailable);
   }
@@ -495,8 +499,17 @@ TEST(SnapshotTest, FailedSwapKeepsThePreviousEpoch) {
   EXPECT_EQ(publisher.failed_swaps(), 1u);
   EXPECT_EQ(publisher.published(), 1u);
   // Recovery: the next refresh publishes normally.
-  ASSERT_TRUE(publisher.Publish(catalog, SitPool{}).ok());
+  ASSERT_TRUE(publisher.Publish(catalog, std::make_shared<const SitPool>()).ok());
   EXPECT_EQ(publisher.current_epoch(), 2u);
+}
+
+// A published pool is shared with the snapshot, not copied.
+TEST(SnapshotTest, PublishSharesThePool) {
+  const Catalog catalog = test::MakeTinyCatalog();
+  SnapshotPublisher publisher;
+  const auto pool = std::make_shared<const SitPool>();
+  ASSERT_TRUE(publisher.Publish(catalog, pool).ok());
+  EXPECT_EQ(&publisher.Acquire()->pool(), pool.get());
 }
 
 // ---------------------------------------------------------------------------
@@ -644,8 +657,33 @@ TEST_F(ServiceTest, DeadlineBeyondTheClockRangeIsNoDeadline) {
   EXPECT_EQ(r.value().attempts, 1);
   Estimator direct(&catalog_, &pool_, Ranking::kDiff);
   const StatusOr<double> sel = direct.TryEstimateSelectivity(query_);
-  ASSERT_TRUE(sel.ok());
+  const StatusOr<double> card = direct.TryEstimateCardinality(query_);
+  ASSERT_TRUE(sel.ok() && card.ok());
   EXPECT_EQ(r.value().selectivity, sel.value());  // bit-identical
+  EXPECT_EQ(r.value().cardinality, card.value());
+}
+
+// A retry whose backoff would outlive the caller's deadline is not
+// attempted, and is counted as a deadline refusal.
+TEST_F(ServiceTest, BackoffPastTheDeadlineIsNotRetried) {
+  ServiceOptions options;
+  // Jitter scales the first backoff into [8, 12] s, capped at 10 s: past
+  // the 1 s deadline either way.
+  options.retry.initial_backoff_seconds = 10.0;
+  options.retry.max_backoff_seconds = 10.0;
+  EstimationService service(options);
+  ASSERT_TRUE(service.Refresh(catalog_, pool_).ok());
+  SubmitOptions submit;
+  submit.deadline_seconds = 1.0;
+  {
+    const ScopedFault fault(Fault::kThrowAtomicLookup);
+    const StatusOr<ServiceEstimate> r = service.Submit("t", query_, submit);
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
+  }
+  const ServiceStatsSnapshot stats = service.Stats();
+  EXPECT_EQ(stats.retries, 0u);
+  EXPECT_EQ(stats.no_retry_deadline, 1u);
 }
 
 TEST(ServiceExceptionTest, OnlyTransientFaultIsRetryable) {
