@@ -244,7 +244,8 @@ PartStatsMaintainer::PartStatsMaintainer(Catalog* catalog,
 }
 
 PartStatsEntry PartStatsMaintainer::BuildEntry(TableId table,
-                                               size_t part_index) {
+                                               size_t part_index,
+                                               BuildPass* pass) {
   const Table& t = catalog_->table(table);
   const Part& part = t.part(part_index);
   const size_t begin = t.part_row_offset(part_index);
@@ -266,7 +267,7 @@ PartStatsEntry PartStatsMaintainer::BuildEntry(TableId table,
   for (size_t i = 0; i < owned.size(); ++i) {
     const SitSpec& spec = stats_.specs()[static_cast<size_t>(owned[i])];
     if (spec.expression.empty()) {
-      Sit sit = builder_.BuildForRange(spec.attr, {}, begin, end);
+      Sit sit = builder_.BuildForRange(spec.attr, {}, begin, end, pass);
       entry.pieces[i] = std::move(sit.histogram);
       entry.diffs[i] = sit.diff;
     } else {
@@ -279,7 +280,8 @@ PartStatsEntry PartStatsMaintainer::BuildEntry(TableId table,
     for (size_t i : positions) {
       attrs.push_back(stats_.specs()[static_cast<size_t>(owned[i])].attr);
     }
-    std::vector<Sit> sits = builder_.BuildManyForRange(attrs, expr, begin, end);
+    std::vector<Sit> sits =
+        builder_.BuildManyForRange(attrs, expr, begin, end, pass);
     // invariant: BuildManyForRange returns one Sit per requested attr.
     CONDSEL_CHECK(sits.size() == positions.size());
     for (size_t k = 0; k < positions.size(); ++k) {
@@ -301,8 +303,12 @@ Status PartStatsMaintainer::BuildAll() {
     }
     Table& table = catalog_->mutable_table(t);
     if (table.tail_rows() != 0) table.SealTail();
-    for (size_t pi = 0; pi < table.num_parts(); ++pi) {
-      stats_.PutEntry(BuildEntry(t, pi));
+  }
+  // One pass for every part: the dictionaries cover whole tables.
+  BuildPass pass(*catalog_);
+  for (const TableId t : owners) {
+    for (size_t pi = 0; pi < catalog_->table(t).num_parts(); ++pi) {
+      stats_.PutEntry(BuildEntry(t, pi, &pass));
     }
   }
   ++stats_generation_;
@@ -348,6 +354,9 @@ StatusOr<DeltaReport> PartStatsMaintainer::ApplyDelta(
     new_part = table.SealTail();
   }
 
+  // Everything below rebuilds against the post-batch catalog in one pass.
+  BuildPass pass(*catalog_);
+
   // Rebuild delta-table entries for touched parts; drop entries of parts
   // the deletes emptied out.
   const bool owns_specs = !stats_.SpecsOwnedBy(batch.table).empty();
@@ -357,7 +366,8 @@ StatusOr<DeltaReport> PartStatsMaintainer::ApplyDelta(
       stats_.RemoveEntry(batch.table, pid);
       report.dropped_parts.push_back(pid);
     } else if (owns_specs) {
-      stats_.PutEntry(BuildEntry(batch.table, static_cast<size_t>(pi)));
+      stats_.PutEntry(
+          BuildEntry(batch.table, static_cast<size_t>(pi), &pass));
       report.rebuilt_parts.push_back(pid);
     }
   }
@@ -365,7 +375,8 @@ StatusOr<DeltaReport> PartStatsMaintainer::ApplyDelta(
     const int pi = table.part_index(new_part);
     // invariant: SealTail just created this part; it must be present.
     CONDSEL_CHECK(pi >= 0);
-    stats_.PutEntry(BuildEntry(batch.table, static_cast<size_t>(pi)));
+    stats_.PutEntry(
+        BuildEntry(batch.table, static_cast<size_t>(pi), &pass));
     report.rebuilt_parts.push_back(new_part);
   }
 
@@ -413,7 +424,7 @@ StatusOr<DeltaReport> PartStatsMaintainer::ApplyDelta(
               stats_.specs()[static_cast<size_t>(owned[p])].attr);
         }
         std::vector<Sit> sits =
-            builder_.BuildManyForRange(attrs, expr, begin, end);
+            builder_.BuildManyForRange(attrs, expr, begin, end, &pass);
         // invariant: BuildManyForRange returns one Sit per requested attr.
         CONDSEL_CHECK(sits.size() == pos_list.size());
         for (size_t k = 0; k < pos_list.size(); ++k) {

@@ -22,8 +22,10 @@
 //    only what a batch of inserts/deletes invalidates — touched parts of
 //    the delta table, plus (for statistics owned by *other* tables whose
 //    expression joins the delta table) the cross-table pieces. Untouched
-//    parts keep their entries: that is the cost ∝ parts-touched property
-//    bench_staleness measures.
+//    parts keep their entries, so the pieces rebuilt track the parts
+//    touched (bench_staleness). BuildAll and each ApplyDelta run as one
+//    build pass (sit/sit_builder.h): each column they need is coded once,
+//    over its whole table, and every part's pieces count over that.
 
 #pragma once
 
@@ -123,11 +125,12 @@ class PartStatsMaintainer {
                       int max_join_preds, SitBuildOptions options);
 
   // Seals any open tails (every row must belong to a part) and builds an
-  // entry for every part of every owning table.
+  // entry for every part of every owning table, all in one build pass.
   Status BuildAll();
 
   // Applies the batch to the catalog (deletes first, then inserts sealed
-  // into one new part) and rebuilds exactly the invalidated statistics.
+  // into one new part) and rebuilds exactly the invalidated statistics,
+  // in one build pass over the post-batch catalog.
   StatusOr<DeltaReport> ApplyDelta(const DeltaBatch& batch);
 
   const PartStatsSet& stats() const { return stats_; }
@@ -144,8 +147,9 @@ class PartStatsMaintainer {
   StatusOr<std::shared_ptr<const SitPool>> MergedPool() const;
 
  private:
-  // Builds (or rebuilds) the entry for one part of `table`.
-  PartStatsEntry BuildEntry(TableId table, size_t part_index);
+  // Builds (or rebuilds) the entry for one part of `table` in `pass`.
+  PartStatsEntry BuildEntry(TableId table, size_t part_index,
+                            BuildPass* pass);
 
   Catalog* catalog_;
   std::vector<Query> workload_;

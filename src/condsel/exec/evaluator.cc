@@ -270,23 +270,10 @@ double Evaluator::CountDistinct(const Query& q, PredSet subset,
 }
 
 ColumnProjection Evaluator::ProjectColumn(const Query& q, PredSet subset,
-                                          ColumnRef col,
-                                          const RowRestriction* restriction) {
+                                          ColumnRef col) {
   ColumnProjection out;
   if (subset == 0) {
     const Table& t = catalog_->table(col.table);
-    if (restriction != nullptr && restriction->table == col.table) {
-      const size_t begin = restriction->begin;
-      const size_t end = restriction->end;
-      CONDSEL_CHECK(begin <= end && end <= t.num_rows());  // invariant
-      out.total_tuples = end - begin;
-      out.values.reserve(end - begin);
-      for (size_t r = begin; r < end; ++r) {
-        const int64_t v = t.value(r, col.column);
-        if (!IsNull(v)) out.values.push_back(v);
-      }
-      return out;
-    }
     out.total_tuples = t.num_rows();
     out.values.reserve(t.num_rows());
     // Walk sealed parts column-wise (no per-row part lookup), then the
@@ -305,7 +292,7 @@ ColumnProjection Evaluator::ProjectColumn(const Query& q, PredSet subset,
 
   for (PredSet comp : ConnectedComponents(q, subset)) {
     if (!Contains(q.TablesOfSubset(comp), col.table)) continue;
-    const JoinResult jr = EvaluateComponent(q, comp, restriction);
+    const JoinResult jr = EvaluateComponent(q, comp);
     const int slot = jr.TableSlot(col.table);
     CONDSEL_CHECK(slot >= 0);  // invariant: comp covers col.table
     const Table& t = catalog_->table(col.table);

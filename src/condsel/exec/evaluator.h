@@ -4,8 +4,9 @@
 //  - exact cardinality of sigma_P(tables(P)^x) for any predicate subset
 //    (ground truth for the error metric, and the oracle behind GS-Opt);
 //  - exact conditional selectivities Sel_R(P|Q) (Definition 1);
-//  - materialized projections of one column over a query-expression result
-//    (the input to SIT construction and to the diff metric of Sec 3.5).
+//  - materialized query-expression results (the input to SIT
+//    construction, sit/sit_builder.h) and projections of one column over
+//    them (ground truth for GROUP BY cardinalities).
 //
 // Evaluation strategy: predicates are split into connected components
 // (standard decomposition); per component, filters are applied per table
@@ -99,8 +100,7 @@ class Evaluator {
   // components scale every frequency uniformly and cancel out of any
   // normalized distribution.
   ColumnProjection ProjectColumn(const Query& q, PredSet subset,
-                                 ColumnRef col,
-                                 const RowRestriction* restriction = nullptr);
+                                 ColumnRef col);
 
   const Catalog& catalog() const { return *catalog_; }
 

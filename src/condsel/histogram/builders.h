@@ -1,11 +1,13 @@
-// Histogram builders: MaxDiff(V,A), equi-depth, equi-width.
+// Histogram builders: MaxDiff(V,A), equi-depth, equi-width, end-biased.
 //
-// All builders take the raw (not necessarily sorted) non-NULL values of
-// the attribute plus the total tuple count of the source relation
-// (`source_cardinality` >= values.size(); the difference is NULL tuples),
-// and a bucket budget. The paper's experiments use MaxDiff histograms with
-// at most 200 buckets [22]; equi-depth and equi-width exist for the
-// histogram-type ablation bench.
+// Every builder works from the attribute's per-value counts (ValueRuns,
+// histogram.h) plus the total tuple count of the source relation
+// (`source_cardinality` >= the counts' total; the difference is NULL
+// tuples), and a bucket budget. BuildHistogramFromRuns takes the counts
+// directly; the value-vector forms take the raw (not necessarily sorted)
+// non-NULL values, sort them into counts and build the same histogram.
+// The paper's experiments use MaxDiff histograms with at most 200 buckets
+// [22]; the other types exist for the histogram-type ablation bench.
 
 #pragma once
 
@@ -40,6 +42,14 @@ enum class HistogramType { kMaxDiff, kEquiDepth, kEquiWidth, kEndBiased };
 
 Histogram BuildHistogram(HistogramType type, std::vector<int64_t> values,
                          double source_cardinality, int max_buckets);
+
+// The same histogram from the values' runs (sorted distinct values with
+// their counts): BuildHistogram(type, v, ...) equals
+// BuildHistogramFromRuns(type, DistinctCounts(sorted v), ...) bucket for
+// bucket. SIT builds count values instead of sorting them
+// (sit/sit_builder.h).
+Histogram BuildHistogramFromRuns(HistogramType type, const ValueRuns& runs,
+                                 double source_cardinality, int max_buckets);
 
 const char* HistogramTypeName(HistogramType type);
 

@@ -5,40 +5,42 @@
 
 namespace condsel {
 
+double ExactDiff(const ValueRuns& base_runs, const ValueRuns& expr_runs) {
+  if (base_runs.empty() || expr_runs.empty()) return 0.0;
+  uint64_t na = 0, nb = 0;
+  for (const auto& run : base_runs) na += run.second;
+  for (const auto& run : expr_runs) nb += run.second;
+  const double fa = static_cast<double>(na);
+  const double fb = static_cast<double>(nb);
+
+  // One term per value of either support, in ascending value order.
+  double l1 = 0.0;
+  size_t i = 0, j = 0;
+  while (i < base_runs.size() || j < expr_runs.size()) {
+    uint64_t ca = 0, cb = 0;
+    if (j >= expr_runs.size() ||
+        (i < base_runs.size() && base_runs[i].first < expr_runs[j].first)) {
+      ca = base_runs[i++].second;
+    } else if (i >= base_runs.size() ||
+               expr_runs[j].first < base_runs[i].first) {
+      cb = expr_runs[j++].second;
+    } else {
+      ca = base_runs[i++].second;
+      cb = expr_runs[j++].second;
+    }
+    l1 += std::abs(static_cast<double>(ca) / fa -
+                   static_cast<double>(cb) / fb);
+  }
+  return 0.5 * l1;
+}
+
 double ExactDiff(const std::vector<int64_t>& base_values,
                  const std::vector<int64_t>& expr_values) {
-  if (base_values.empty() || expr_values.empty()) return 0.0;
   std::vector<int64_t> a = base_values;
   std::vector<int64_t> b = expr_values;
   std::sort(a.begin(), a.end());
   std::sort(b.begin(), b.end());
-  const double na = static_cast<double>(a.size());
-  const double nb = static_cast<double>(b.size());
-
-  double l1 = 0.0;
-  size_t i = 0, j = 0;
-  while (i < a.size() || j < b.size()) {
-    int64_t v;
-    if (j >= b.size() || (i < a.size() && a[i] < b[j])) {
-      v = a[i];
-    } else if (i >= a.size() || b[j] < a[i]) {
-      v = b[j];
-    } else {
-      v = a[i];
-    }
-    size_t ca = 0, cb = 0;
-    while (i < a.size() && a[i] == v) {
-      ++ca;
-      ++i;
-    }
-    while (j < b.size() && b[j] == v) {
-      ++cb;
-      ++j;
-    }
-    l1 += std::abs(static_cast<double>(ca) / na -
-                   static_cast<double>(cb) / nb);
-  }
-  return 0.5 * l1;
+  return ExactDiff(DistinctCounts(a), DistinctCounts(b));
 }
 
 double HistogramDiff(const Histogram& h1, const Histogram& h2) {

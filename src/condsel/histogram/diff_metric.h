@@ -17,10 +17,15 @@
 
 namespace condsel {
 
-// Exact diff from raw value vectors (non-NULL values with multiplicity).
-// Used at SIT-build time, when the expression result is materialized
-// anyway. Either vector may be empty, in which case diff is 0 (an empty
-// result carries no distributional information).
+// Exact diff from the two distributions' per-value counts (ValueRuns,
+// histogram.h), walked once in value order. Used at SIT-build time, which
+// counts both distributions over a column dictionary (sit/sit_builder.h).
+// Either run list may be empty, in which case diff is 0 (an empty result
+// carries no distributional information).
+double ExactDiff(const ValueRuns& base_runs, const ValueRuns& expr_runs);
+
+// The same diff from raw value vectors (non-NULL values with
+// multiplicity): sorts copies into runs and calls the run-list form.
 double ExactDiff(const std::vector<int64_t>& base_values,
                  const std::vector<int64_t>& expr_values);
 

@@ -7,11 +7,10 @@
 
 namespace condsel {
 
-Histogram BuildEndBiased(std::vector<int64_t> values,
-                         double source_cardinality, int max_buckets) {
-  using histogram_internal::MakeBucket;
-  const auto runs =
-      histogram_internal::PrepareRuns(values, source_cardinality, max_buckets);
+namespace histogram_internal {
+
+Histogram EndBiasedFromRuns(const ValueRuns& runs, double source_cardinality,
+                            int max_buckets) {
   if (runs.empty()) return Histogram({}, source_cardinality);
 
   // The (max_buckets - 1) most frequent values get singleton buckets; the
@@ -65,6 +64,15 @@ Histogram BuildEndBiased(std::vector<int64_t> values,
     buckets.erase(buckets.begin() + static_cast<long>(best) + 1);
   }
   return Histogram(std::move(buckets), source_cardinality);
+}
+
+}  // namespace histogram_internal
+
+Histogram BuildEndBiased(std::vector<int64_t> values,
+                         double source_cardinality, int max_buckets) {
+  return BuildHistogramFromRuns(HistogramType::kEndBiased,
+                                histogram_internal::PrepareRuns(values),
+                                source_cardinality, max_buckets);
 }
 
 }  // namespace condsel

@@ -5,11 +5,10 @@
 
 namespace condsel {
 
-Histogram BuildEquiDepth(std::vector<int64_t> values,
-                         double source_cardinality, int max_buckets) {
-  using histogram_internal::MakeBucket;
-  const auto runs =
-      histogram_internal::PrepareRuns(values, source_cardinality, max_buckets);
+namespace histogram_internal {
+
+Histogram EquiDepthFromRuns(const ValueRuns& runs, double source_cardinality,
+                            int max_buckets) {
   if (runs.empty()) return Histogram({}, source_cardinality);
 
   uint64_t total = 0;
@@ -32,6 +31,15 @@ Histogram BuildEquiDepth(std::vector<int64_t> values,
     }
   }
   return Histogram(std::move(buckets), source_cardinality);
+}
+
+}  // namespace histogram_internal
+
+Histogram BuildEquiDepth(std::vector<int64_t> values,
+                         double source_cardinality, int max_buckets) {
+  return BuildHistogramFromRuns(HistogramType::kEquiDepth,
+                                histogram_internal::PrepareRuns(values),
+                                source_cardinality, max_buckets);
 }
 
 }  // namespace condsel

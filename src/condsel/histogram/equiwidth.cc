@@ -6,11 +6,10 @@
 
 namespace condsel {
 
-Histogram BuildEquiWidth(std::vector<int64_t> values,
-                         double source_cardinality, int max_buckets) {
-  using histogram_internal::MakeBucket;
-  const auto runs =
-      histogram_internal::PrepareRuns(values, source_cardinality, max_buckets);
+namespace histogram_internal {
+
+Histogram EquiWidthFromRuns(const ValueRuns& runs, double source_cardinality,
+                            int max_buckets) {
   if (runs.empty()) return Histogram({}, source_cardinality);
 
   const int64_t lo = runs.front().first;
@@ -41,23 +40,43 @@ Histogram BuildEquiWidth(std::vector<int64_t> values,
   return Histogram(std::move(buckets), source_cardinality);
 }
 
-Histogram BuildHistogram(HistogramType type, std::vector<int64_t> values,
+}  // namespace histogram_internal
+
+Histogram BuildEquiWidth(std::vector<int64_t> values,
                          double source_cardinality, int max_buckets) {
+  return BuildHistogramFromRuns(HistogramType::kEquiWidth,
+                                histogram_internal::PrepareRuns(values),
+                                source_cardinality, max_buckets);
+}
+
+Histogram BuildHistogramFromRuns(HistogramType type, const ValueRuns& runs,
+                                 double source_cardinality, int max_buckets) {
+  CONDSEL_CHECK(max_buckets >= 1);
+  uint64_t count = 0;
+  for (const auto& run : runs) count += run.second;
+  CONDSEL_CHECK(source_cardinality >= static_cast<double>(count));
   switch (type) {
     case HistogramType::kMaxDiff:
-      return BuildMaxDiff(std::move(values), source_cardinality, max_buckets);
+      return histogram_internal::MaxDiffFromRuns(runs, source_cardinality,
+                                                 max_buckets);
     case HistogramType::kEquiDepth:
-      return BuildEquiDepth(std::move(values), source_cardinality,
-                            max_buckets);
+      return histogram_internal::EquiDepthFromRuns(runs, source_cardinality,
+                                                   max_buckets);
     case HistogramType::kEquiWidth:
-      return BuildEquiWidth(std::move(values), source_cardinality,
-                            max_buckets);
+      return histogram_internal::EquiWidthFromRuns(runs, source_cardinality,
+                                                   max_buckets);
     case HistogramType::kEndBiased:
-      return BuildEndBiased(std::move(values), source_cardinality,
-                            max_buckets);
+      return histogram_internal::EndBiasedFromRuns(runs, source_cardinality,
+                                                   max_buckets);
   }
   CONDSEL_CHECK(false);
   return Histogram({}, 0.0);
+}
+
+Histogram BuildHistogram(HistogramType type, std::vector<int64_t> values,
+                         double source_cardinality, int max_buckets) {
+  return BuildHistogramFromRuns(type, histogram_internal::PrepareRuns(values),
+                                source_cardinality, max_buckets);
 }
 
 const char* HistogramTypeName(HistogramType type) {

@@ -85,9 +85,8 @@ std::string Histogram::ToString() const {
   return s;
 }
 
-std::vector<std::pair<int64_t, uint64_t>> DistinctCounts(
-    const std::vector<int64_t>& values) {
-  std::vector<std::pair<int64_t, uint64_t>> out;
+ValueRuns DistinctCounts(const std::vector<int64_t>& values) {
+  ValueRuns out;
   for (size_t i = 0; i < values.size();) {
     CONDSEL_DCHECK(i == 0 || values[i - 1] <= values[i]);
     size_t j = i;

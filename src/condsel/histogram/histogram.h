@@ -70,10 +70,13 @@ class Histogram {
   double total_frequency_ = 0.0;
 };
 
-// Shared by the builders: collapses sorted raw values into (value,count)
-// pairs. `values` must be sorted ascending and NULL-free.
-std::vector<std::pair<int64_t, uint64_t>> DistinctCounts(
-    const std::vector<int64_t>& values);
+// The per-value counts every builder starts from: (value, count) pairs
+// in strictly ascending value order, each count > 0, NULLs excluded.
+using ValueRuns = std::vector<std::pair<int64_t, uint64_t>>;
+
+// Collapses sorted raw values into runs. `values` must be sorted
+// ascending and NULL-free.
+ValueRuns DistinctCounts(const std::vector<int64_t>& values);
 
 }  // namespace condsel
 

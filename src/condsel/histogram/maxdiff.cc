@@ -2,15 +2,14 @@
 #include <cmath>
 #include <cstdint>
 
-#include "condsel/common/macros.h"
 #include "condsel/histogram/builders.h"
 #include "condsel/histogram/internal.h"
 
 namespace condsel {
 namespace histogram_internal {
 
-Bucket MakeBucket(const std::vector<std::pair<int64_t, uint64_t>>& runs,
-                  size_t begin, size_t end, double source_cardinality) {
+Bucket MakeBucket(const ValueRuns& runs, size_t begin, size_t end,
+                  double source_cardinality) {
   Bucket b;
   b.lo = runs[begin].first;
   b.hi = runs[end - 1].first;
@@ -23,22 +22,13 @@ Bucket MakeBucket(const std::vector<std::pair<int64_t, uint64_t>>& runs,
   return b;
 }
 
-std::vector<std::pair<int64_t, uint64_t>> PrepareRuns(
-    std::vector<int64_t>& values, double source_cardinality,
-    int max_buckets) {
-  CONDSEL_CHECK(max_buckets >= 1);
-  CONDSEL_CHECK(source_cardinality >= static_cast<double>(values.size()));
+ValueRuns PrepareRuns(std::vector<int64_t>& values) {
   std::sort(values.begin(), values.end());
   return DistinctCounts(values);
 }
 
-}  // namespace histogram_internal
-
-Histogram BuildMaxDiff(std::vector<int64_t> values, double source_cardinality,
-                       int max_buckets) {
-  using histogram_internal::MakeBucket;
-  const auto runs =
-      histogram_internal::PrepareRuns(values, source_cardinality, max_buckets);
+Histogram MaxDiffFromRuns(const ValueRuns& runs, double source_cardinality,
+                          int max_buckets) {
   if (runs.empty()) return Histogram({}, source_cardinality);
 
   // Area of distinct value i: frequency(i) * spread(i), where spread is
@@ -87,6 +77,15 @@ Histogram BuildMaxDiff(std::vector<int64_t> values, double source_cardinality,
   }
   buckets.push_back(MakeBucket(runs, begin, d, source_cardinality));
   return Histogram(std::move(buckets), source_cardinality);
+}
+
+}  // namespace histogram_internal
+
+Histogram BuildMaxDiff(std::vector<int64_t> values, double source_cardinality,
+                       int max_buckets) {
+  return BuildHistogramFromRuns(HistogramType::kMaxDiff,
+                                histogram_internal::PrepareRuns(values),
+                                source_cardinality, max_buckets);
 }
 
 }  // namespace condsel

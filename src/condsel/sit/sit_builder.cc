@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <unordered_map>
 
 #include "condsel/common/macros.h"
 #include "condsel/histogram/diff_metric.h"
@@ -10,6 +11,81 @@
 #include "condsel/query/query.h"
 
 namespace condsel {
+
+namespace {
+
+ColumnDictionary BuildDictionary(const Table& t, ColumnId column) {
+  // invariant: row ids are uint32_t throughout the executor (JoinResult),
+  // so a code per row always fits beside kNullCode.
+  CONDSEL_CHECK(t.num_rows() < ColumnDictionary::kNullCode);
+  // Number the distinct values in order of first appearance, then
+  // renumber them in value order: a hash pass plus a sort of the distinct
+  // values only.
+  ColumnDictionary dict;
+  dict.codes.reserve(t.num_rows());
+  std::unordered_map<int64_t, uint32_t> first_seen;
+  std::vector<int64_t> seen;
+  const Column col = t.MaterializeColumn(column);
+  for (const int64_t v : col.values()) {
+    if (IsNull(v)) {
+      dict.codes.push_back(ColumnDictionary::kNullCode);
+      continue;
+    }
+    const auto [it, inserted] =
+        first_seen.emplace(v, static_cast<uint32_t>(seen.size()));
+    if (inserted) seen.push_back(v);
+    dict.codes.push_back(it->second);
+  }
+  dict.values = seen;
+  std::sort(dict.values.begin(), dict.values.end());
+  std::vector<uint32_t> rank(seen.size());
+  for (size_t id = 0; id < seen.size(); ++id) {
+    rank[id] = static_cast<uint32_t>(
+        std::lower_bound(dict.values.begin(), dict.values.end(), seen[id]) -
+        dict.values.begin());
+  }
+  for (uint32_t& code : dict.codes) {
+    if (code != ColumnDictionary::kNullCode) code = rank[code];
+  }
+  return dict;
+}
+
+// Counts the codes of rows row_at(0..n-1) and returns the value-ordered
+// runs of the non-NULL ones: what sorting those rows' values would give.
+template <typename RowAt>
+ValueRuns CountRuns(const ColumnDictionary& dict, size_t n, RowAt row_at) {
+  std::vector<uint64_t> counts(dict.values.size(), 0);
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t code = dict.codes[row_at(i)];
+    if (code != ColumnDictionary::kNullCode) ++counts[code];
+  }
+  ValueRuns runs;
+  for (size_t v = 0; v < counts.size(); ++v) {
+    if (counts[v] != 0) runs.emplace_back(dict.values[v], counts[v]);
+  }
+  return runs;
+}
+
+ValueRuns CountRange(const ColumnDictionary& dict, size_t row_begin,
+                     size_t row_end) {
+  // invariant: callers pass a row range of the dictionary's table.
+  CONDSEL_CHECK(row_begin <= row_end && row_end <= dict.codes.size());
+  return CountRuns(dict, row_end - row_begin,
+                   [&](size_t i) { return row_begin + i; });
+}
+
+}  // namespace
+
+const ColumnDictionary& BuildPass::Dictionary(ColumnRef col) {
+  const Table& t = catalog_->table(col.table);
+  auto it = dictionaries_.find(col);
+  if (it == dictionaries_.end()) {
+    it = dictionaries_.emplace(col, BuildDictionary(t, col.column)).first;
+  }
+  // invariant: a pass does not outlive a change to the catalog's rows.
+  CONDSEL_CHECK(it->second.codes.size() == t.num_rows());
+  return it->second;
+}
 
 SitBuilder::SitBuilder(Evaluator* evaluator, SitBuildOptions options)
     : evaluator_(evaluator), options_(options) {
@@ -21,34 +97,46 @@ SitBuilder::SitBuilder(Evaluator* evaluator, SitBuildOptions options)
 
 const Catalog& SitBuilder::catalog() const { return evaluator_->catalog(); }
 
-Sit SitBuilder::Build(ColumnRef attr,
-                      std::vector<Predicate> expression) const {
+Sit SitBuilder::Build(ColumnRef attr, std::vector<Predicate> expression,
+                      BuildPass* pass) const {
   if (expression.empty()) {
-    const ColumnProjection base =
-        evaluator_->ProjectColumn(Query(std::vector<Predicate>{}), 0, attr);
-    Sit sit;
-    sit.attr = attr;
-    sit.histogram =
-        BuildHistogram(options_.histogram_type, base.values,
-                       static_cast<double>(base.total_tuples),
-                       options_.max_buckets);
-    sit.diff = 0.0;
-    return sit;
+    return BuildBase(attr, 0, catalog().table(attr.table).num_rows(), pass);
   }
-  std::vector<Sit> sits = BuildMany({attr}, std::move(expression));
+  std::vector<Sit> sits = BuildMany({attr}, std::move(expression), pass);
   return std::move(sits[0]);
 }
 
-std::vector<Sit> SitBuilder::BuildMany(
-    const std::vector<ColumnRef>& attrs,
-    std::vector<Predicate> expression) const {
-  return BuildManyImpl(attrs, std::move(expression), /*restriction=*/nullptr);
+std::vector<Sit> SitBuilder::BuildMany(const std::vector<ColumnRef>& attrs,
+                                       std::vector<Predicate> expression,
+                                       BuildPass* pass) const {
+  return BuildManyImpl(attrs, std::move(expression), /*restriction=*/nullptr,
+                       pass);
+}
+
+Sit SitBuilder::BuildBase(ColumnRef attr, size_t row_begin, size_t row_end,
+                          BuildPass* pass) const {
+  BuildPass own(catalog());
+  if (pass == nullptr) pass = &own;
+  // invariant: a pass serves the builder's own catalog.
+  CONDSEL_CHECK(&pass->catalog() == &catalog());
+  Sit sit;
+  sit.attr = attr;
+  sit.histogram = BuildHistogramFromRuns(
+      options_.histogram_type,
+      CountRange(pass->Dictionary(attr), row_begin, row_end),
+      static_cast<double>(row_end - row_begin), options_.max_buckets);
+  sit.diff = 0.0;
+  return sit;
 }
 
 std::vector<Sit> SitBuilder::BuildManyImpl(
     const std::vector<ColumnRef>& attrs, std::vector<Predicate> expression,
-    const RowRestriction* restriction) const {
+    const RowRestriction* restriction, BuildPass* pass) const {
   CONDSEL_CHECK(!expression.empty());
+  BuildPass own(catalog());
+  if (pass == nullptr) pass = &own;
+  // invariant: a pass serves the builder's own catalog.
+  CONDSEL_CHECK(&pass->catalog() == &catalog());
   std::sort(expression.begin(), expression.end());
 
   const Query expr_query(expression);
@@ -57,12 +145,11 @@ std::vector<Sit> SitBuilder::BuildManyImpl(
       ConnectedComponents(expr_query, all).size() == 1,
       "SIT expression must be connected");
 
-  // Evaluate the expression once; project each attribute from the
+  // Evaluate the expression once; count each attribute over the
   // materialized result.
   const JoinResult jr =
       evaluator_->EvaluateComponent(expr_query, all, restriction);
   const size_t width = jr.tables.size();
-  const Catalog& catalog = evaluator_->catalog();
 
   std::vector<Sit> out;
   out.reserve(attrs.size());
@@ -75,24 +162,22 @@ std::vector<Sit> SitBuilder::BuildManyImpl(
     const int slot = jr.TableSlot(attr.table);
     CONDSEL_CHECK_MSG(slot >= 0,
                       "SIT attribute's table must appear in its expression");
-    const Table& t = catalog.table(attr.table);
-    std::vector<int64_t> values;
-    values.reserve(jr.num_tuples);
-    for (size_t i = 0; i < jr.num_tuples; ++i) {
-      const int64_t v = t.value(
-          jr.tuple_rows[i * width + static_cast<size_t>(slot)], attr.column);
-      if (!IsNull(v)) values.push_back(v);
-    }
+    const ColumnDictionary& dict = pass->Dictionary(attr);
+    const ValueRuns runs = CountRuns(dict, jr.num_tuples, [&](size_t i) {
+      return jr.tuple_rows[i * width + static_cast<size_t>(slot)];
+    });
+    const ValueRuns base =
+        restriction == nullptr
+            ? CountRange(dict, 0, dict.codes.size())
+            : CountRange(dict, restriction->begin, restriction->end);
 
     Sit sit;
     sit.attr = attr;
     sit.expression = expression;
-    const ColumnProjection base = evaluator_->ProjectColumn(
-        Query(std::vector<Predicate>{}), 0, attr, restriction);
-    sit.histogram = BuildHistogram(options_.histogram_type, values,
-                                   static_cast<double>(jr.num_tuples),
-                                   options_.max_buckets);
-    sit.diff = ExactDiff(base.values, values);
+    sit.histogram = BuildHistogramFromRuns(options_.histogram_type, runs,
+                                           static_cast<double>(jr.num_tuples),
+                                           options_.max_buckets);
+    sit.diff = ExactDiff(base, runs);
     out.push_back(std::move(sit));
   }
   return out;
@@ -100,31 +185,21 @@ std::vector<Sit> SitBuilder::BuildManyImpl(
 
 Sit SitBuilder::BuildForRange(ColumnRef attr,
                               std::vector<Predicate> expression,
-                              size_t row_begin, size_t row_end) const {
+                              size_t row_begin, size_t row_end,
+                              BuildPass* pass) const {
+  if (expression.empty()) return BuildBase(attr, row_begin, row_end, pass);
   const RowRestriction restriction{attr.table, row_begin, row_end};
-  if (expression.empty()) {
-    const ColumnProjection base = evaluator_->ProjectColumn(
-        Query(std::vector<Predicate>{}), 0, attr, &restriction);
-    Sit sit;
-    sit.attr = attr;
-    sit.histogram =
-        BuildHistogram(options_.histogram_type, base.values,
-                       static_cast<double>(base.total_tuples),
-                       options_.max_buckets);
-    sit.diff = 0.0;
-    return sit;
-  }
   std::vector<Sit> sits =
-      BuildManyImpl({attr}, std::move(expression), &restriction);
+      BuildManyImpl({attr}, std::move(expression), &restriction, pass);
   return std::move(sits[0]);
 }
 
 std::vector<Sit> SitBuilder::BuildManyForRange(
     const std::vector<ColumnRef>& attrs, std::vector<Predicate> expression,
-    size_t row_begin, size_t row_end) const {
+    size_t row_begin, size_t row_end, BuildPass* pass) const {
   CONDSEL_CHECK(!attrs.empty());
   const RowRestriction restriction{attrs[0].table, row_begin, row_end};
-  return BuildManyImpl(attrs, std::move(expression), &restriction);
+  return BuildManyImpl(attrs, std::move(expression), &restriction, pass);
 }
 
 

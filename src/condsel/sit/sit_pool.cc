@@ -109,11 +109,12 @@ SitPool GenerateSitPool(const std::vector<Query>& workload,
   SitPool pool;
   const std::vector<SitSpec> specs =
       EnumerateSitSpecs(workload, max_join_preds);
+  BuildPass pass(builder.catalog());
   size_t i = 0;
   while (i < specs.size()) {
     const std::vector<Predicate>& expr = specs[i].expression;
     if (expr.empty()) {
-      pool.Add(builder.Build(specs[i].attr, {}));
+      pool.Add(builder.Build(specs[i].attr, {}, &pass));
       ++i;
       continue;
     }
@@ -122,7 +123,7 @@ SitPool GenerateSitPool(const std::vector<Query>& workload,
     for (; i < specs.size() && specs[i].expression == expr; ++i) {
       attrs.push_back(specs[i].attr);
     }
-    for (Sit& sit : builder.BuildMany(attrs, expr)) {
+    for (Sit& sit : builder.BuildMany(attrs, expr, &pass)) {
       pool.Add(std::move(sit));
     }
   }

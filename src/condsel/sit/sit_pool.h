@@ -172,7 +172,7 @@ std::vector<SitSpec> EnumerateSitSpecs(const std::vector<Query>& workload,
                                        int max_join_preds);
 
 // Builds pool J_i for `workload`: one SIT per EnumerateSitSpecs entry,
-// in that order.
+// in that order, all in one build pass (sit_builder.h).
 SitPool GenerateSitPool(const std::vector<Query>& workload, int max_join_preds,
                         const SitBuilder& builder);
 

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <utility>
+#include <vector>
+
 #include "condsel/common/rng.h"
 #include "condsel/common/zipf.h"
 #include "condsel/histogram/builders.h"
@@ -59,6 +66,39 @@ TEST(ExactDiffTest, TriangleInequality) {
   for (auto& v : b) v = rng.NextInRange(0, 14);
   for (auto& v : c) v = rng.NextInRange(5, 19);
   EXPECT_LE(ExactDiff(a, c), ExactDiff(a, b) + ExactDiff(b, c) + 1e-12);
+}
+
+TEST(ExactDiffTest, RunListFormEqualsValueForm) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  std::vector<std::pair<std::vector<int64_t>, std::vector<int64_t>>> cases = {
+      {{}, {}},
+      {{}, {1, 2}},
+      {{1, 2}, {}},
+      {{7, 7, 7}, {7}},                 // one distinct value
+      {{kMin, 0, kMax}, {kMax, kMax}},  // the int64 extremes
+      {{1, 2, 2, 3}, {2, 5, 5}},
+  };
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    Rng rng(seed);
+    ZipfSampler z(rng.NextInRange(1, 300), 1.0);
+    std::vector<int64_t> a(static_cast<size_t>(rng.NextInRange(1, 2000)));
+    std::vector<int64_t> b(static_cast<size_t>(rng.NextInRange(1, 2000)));
+    const int64_t domain = rng.NextInRange(1, 400);
+    for (auto& v : a) v = rng.NextInRange(0, domain - 1);
+    for (auto& v : b) v = z.Next(rng);
+    cases.emplace_back(std::move(a), std::move(b));
+  }
+  auto runs = [](std::vector<int64_t> v) {
+    std::sort(v.begin(), v.end());
+    return DistinctCounts(v);
+  };
+  for (const auto& [a, b] : cases) {
+    const double got = ExactDiff(runs(a), runs(b));
+    const double want = ExactDiff(a, b);
+    EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+        << got << " vs " << want;
+  }
 }
 
 TEST(HistogramDiffTest, MatchesExactOnFineBuckets) {

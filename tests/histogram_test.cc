@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "condsel/common/rng.h"
@@ -197,6 +200,94 @@ TEST(HistogramTest, EveryBuilderHandlesDegenerateInputs) {
     // Budget of one: everything in a single bucket, mass conserved.
     const Histogram one = BuildHistogram(type, {1, 5, 9}, 3.0, 1);
     EXPECT_NEAR(one.total_frequency(), 1.0, 1e-12);
+  }
+}
+
+// The per-type value-vector builder for `type`.
+Histogram BuildFromValues(HistogramType type, std::vector<int64_t> values,
+                          double source_cardinality, int max_buckets) {
+  switch (type) {
+    case HistogramType::kMaxDiff:
+      return BuildMaxDiff(values, source_cardinality, max_buckets);
+    case HistogramType::kEquiDepth:
+      return BuildEquiDepth(values, source_cardinality, max_buckets);
+    case HistogramType::kEquiWidth:
+      return BuildEquiWidth(values, source_cardinality, max_buckets);
+    case HistogramType::kEndBiased:
+      return BuildEndBiased(values, source_cardinality, max_buckets);
+  }
+  return Histogram();
+}
+
+ValueRuns SortedRuns(std::vector<int64_t> values) {
+  std::sort(values.begin(), values.end());
+  return DistinctCounts(values);
+}
+
+void ExpectSameBits(double got, double want) {
+  EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+      << got << " vs " << want;
+}
+
+TEST(HistogramTest, RunsEntryPointEqualsEveryValueBuilder) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  struct Case {
+    std::vector<int64_t> values;
+    double source_cardinality;
+    int max_buckets;
+  };
+  std::vector<Case> cases = {
+      {{}, 0.0, 8},                     // empty
+      {{}, 50.0, 8},                    // NULL-only source
+      {{42, 42, 42}, 5.0, 8},           // one distinct value
+      {{kMax, kMin, 0, kMax}, 4.0, 3},  // the int64 extremes
+      {{kMin, kMax}, 2.0, 1},
+      {{3, 1, 2, 2, 9}, 5.0, 1},    // a budget of one bucket
+      {{3, 1, 2, 2, 9}, 7.0, 100},  // fewer distinct values than buckets
+  };
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    Rng rng(seed);
+    const size_t n = static_cast<size_t>(rng.NextInRange(1, 3000));
+    const int64_t domain = rng.NextInRange(1, 800);
+    std::vector<int64_t> values =
+        seed % 2 == 0 ? UniformValues(n, domain, seed)
+                      : ZipfValues(n, domain, 1.0, seed);
+    const double nulls = static_cast<double>(rng.NextInRange(0, 50));
+    cases.push_back({std::move(values), static_cast<double>(n) + nulls,
+                     static_cast<int>(rng.NextInRange(1, 200))});
+  }
+  for (HistogramType type :
+       {HistogramType::kMaxDiff, HistogramType::kEquiDepth,
+        HistogramType::kEquiWidth, HistogramType::kEndBiased}) {
+    for (const Case& c : cases) {
+      const Histogram got = BuildHistogramFromRuns(
+          type, SortedRuns(c.values), c.source_cardinality, c.max_buckets);
+      const Histogram want = BuildFromValues(
+          type, c.values, c.source_cardinality, c.max_buckets);
+      ExpectSameBits(got.source_cardinality(), want.source_cardinality());
+      ASSERT_EQ(got.num_buckets(), want.num_buckets())
+          << HistogramTypeName(type);
+      for (size_t b = 0; b < got.num_buckets(); ++b) {
+        EXPECT_EQ(got.buckets()[b].lo, want.buckets()[b].lo);
+        EXPECT_EQ(got.buckets()[b].hi, want.buckets()[b].hi);
+        ExpectSameBits(got.buckets()[b].frequency,
+                       want.buckets()[b].frequency);
+        ExpectSameBits(got.buckets()[b].distinct, want.buckets()[b].distinct);
+      }
+    }
+  }
+}
+
+TEST(HistogramTest, BothEntryPointsCheckSourceCardinality) {
+  for (HistogramType type :
+       {HistogramType::kMaxDiff, HistogramType::kEquiDepth,
+        HistogramType::kEquiWidth, HistogramType::kEndBiased}) {
+    // Five values cannot come from a source of four tuples.
+    EXPECT_DEATH(BuildHistogramFromRuns(type, {{1, 3}, {2, 2}}, 4.0, 8),
+                 "source_cardinality");
+    EXPECT_DEATH(BuildFromValues(type, {1, 1, 1, 2, 2}, 4.0, 8),
+                 "source_cardinality");
   }
 }
 
