@@ -44,7 +44,7 @@ int main() {
 
     AtomicSelectivityProvider fa_cp(&matcher, &diff);
     OptimizerCoupledEstimator coupled(&query, &fa_cp);
-    const SelEstimate cp = coupled.Estimate(query.all_predicates());
+    const SelEstimate cp = coupled.TryEstimate(query.all_predicates()).value();
 
     rows.push_back({std::to_string(query.num_predicates()),
                     std::to_string(ex.nodes_explored),

@@ -44,14 +44,14 @@ int main(int argc, char** argv) {
     aopt.max_join_preds = 2;
     const AdvisorResult advised = AdviseSits(training, builder, aopt);
 
-    IoResult w = WriteCatalog(catalog, catalog_path);
-    if (!w.ok) {
-      std::printf("catalog write failed: %s\n", w.error.c_str());
+    Status w = WriteCatalog(catalog, catalog_path);
+    if (!w.ok()) {
+      std::printf("catalog write failed: %s\n", w.message().c_str());
       return 1;
     }
     w = WriteSitPool(advised.pool, pool_path);
-    if (!w.ok) {
-      std::printf("pool write failed: %s\n", w.error.c_str());
+    if (!w.ok()) {
+      std::printf("pool write failed: %s\n", w.message().c_str());
       return 1;
     }
     std::printf("offline: wrote %d tables and %d statistics (%zu advised)\n",
@@ -62,14 +62,14 @@ int main(int argc, char** argv) {
   // ---- optimizer process -------------------------------------------
   Catalog catalog;
   SitPool pool;
-  IoResult r = ReadCatalog(catalog_path, &catalog);
-  if (!r.ok) {
-    std::printf("catalog load failed: %s\n", r.error.c_str());
+  Status r = ReadCatalog(catalog_path, &catalog);
+  if (!r.ok()) {
+    std::printf("catalog load failed: %s\n", r.message().c_str());
     return 1;
   }
   r = ReadSitPool(pool_path, catalog, &pool);
-  if (!r.ok) {
-    std::printf("pool load failed: %s\n", r.error.c_str());
+  if (!r.ok()) {
+    std::printf("pool load failed: %s\n", r.message().c_str());
     return 1;
   }
   std::printf("online:  loaded %d tables, %d statistics\n\n",

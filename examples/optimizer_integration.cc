@@ -60,7 +60,7 @@ int main() {
   for (PredSet plan : SubPlanFamily(query)) {
     const double cross = CrossProductCardinality(catalog, query, plan);
     std::printf("%#-10x %14.1f %14.1f %12.0f\n", plan,
-                coupled.Estimate(plan).selectivity * cross,
+                coupled.TryEstimate(plan).value().selectivity * cross,
                 full.Compute(plan).selectivity * cross,
                 evaluator.Cardinality(query, plan));
   }

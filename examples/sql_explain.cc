@@ -47,12 +47,13 @@ int main(int argc, char** argv) {
 
   for (const std::string& sql : sqls) {
     std::printf("SQL> %s\n", sql.c_str());
-    const ParseResult parsed = ParseQuery(catalog, sql);
-    if (!parsed.ok) {
-      std::printf("  parse error: %s\n\n", parsed.error.c_str());
+    const StatusOr<Query> parsed = ParseQuery(catalog, sql);
+    if (!parsed.ok()) {
+      std::printf("  parse error: %s\n\n",
+                  parsed.status().message().c_str());
       continue;
     }
-    const Query& q = parsed.query;
+    const Query& q = *parsed;
     const double truth = evaluator.Cardinality(q, q.all_predicates());
     const double cross =
         CrossProductCardinality(catalog, q, q.all_predicates());

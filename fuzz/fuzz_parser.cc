@@ -29,13 +29,17 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   static const condsel::Catalog catalog = condsel::fuzzing::MakeFuzzCatalog();
 
   const std::string sql(reinterpret_cast<const char*>(data), size);
-  const condsel::ParseResult result = condsel::ParseQuery(catalog, sql);
-  if (!result.ok) {
-    Require(!result.error.empty(), "rejection must carry a message");
+  const condsel::StatusOr<condsel::Query> result =
+      condsel::ParseQuery(catalog, sql);
+  if (!result.ok()) {
+    Require(result.status().code() == condsel::StatusCode::kInvalidArgument,
+            "rejection must be INVALID_ARGUMENT");
+    Require(!result.status().message().empty(),
+            "rejection must carry a message");
     return 0;
   }
 
-  const condsel::Query& q = result.query;
+  const condsel::Query& q = *result;
   Require(q.num_predicates() <= condsel::kMaxPredicates,
           "predicate count exceeds kMaxPredicates");
   Require((q.join_predicates() & q.filter_predicates()) == 0,

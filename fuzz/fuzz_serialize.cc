@@ -29,9 +29,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
 
   {
     condsel::Catalog out;
-    const condsel::IoResult r =
+    const condsel::Status r =
         condsel::ReadCatalogFromBuffer(data, size, &out);
-    if (r.ok) {
+    if (r.ok()) {
       for (condsel::TableId t = 0; t < out.num_tables(); ++t) {
         const condsel::Table& table = out.table(t);
         const size_t rows = table.num_rows();
@@ -55,15 +55,17 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
                 "accepted catalog with dangling foreign key");
       }
     } else {
-      Require(!r.error.empty(), "rejection must carry a message");
+      Require(r.code() == condsel::StatusCode::kDataLoss,
+              "rejection must be DATA_LOSS");
+      Require(!r.message().empty(), "rejection must carry a message");
     }
   }
 
   {
     condsel::SitPool pool;
-    const condsel::IoResult r =
+    const condsel::Status r =
         condsel::ReadSitPoolFromBuffer(data, size, catalog, &pool);
-    if (r.ok) {
+    if (r.ok()) {
       for (const condsel::Sit& sit : pool.sits()) {
         Require(sit.attr.table >= 0 && sit.attr.table < catalog.num_tables(),
                 "accepted SIT bound to a table outside the catalog");
@@ -71,15 +73,17 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
                 "accepted SIT with diff outside [0, 1]");
       }
     } else {
-      Require(!r.error.empty(), "rejection must carry a message");
+      Require(r.code() == condsel::StatusCode::kDataLoss,
+              "rejection must be DATA_LOSS");
+      Require(!r.message().empty(), "rejection must carry a message");
     }
   }
 
   {
     condsel::PartStatsSet stats;
-    const condsel::IoResult r =
+    const condsel::Status r =
         condsel::ReadPartStatsFromBuffer(data, size, catalog, &stats);
-    if (r.ok) {
+    if (r.ok()) {
       for (const auto& [key, entry] : stats.entries()) {
         Require(entry.table >= 0 && entry.table < catalog.num_tables(),
                 "accepted part stats for a table outside the catalog");
@@ -100,7 +104,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
         }
       }
     } else {
-      Require(!r.error.empty(), "rejection must carry a message");
+      Require(r.code() == condsel::StatusCode::kDataLoss,
+              "rejection must be DATA_LOSS");
+      Require(!r.message().empty(), "rejection must carry a message");
     }
   }
   return 0;

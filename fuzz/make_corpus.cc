@@ -80,13 +80,13 @@ int main(int argc, char** argv) {
   const condsel::Catalog catalog = condsel::fuzzing::MakeFuzzCatalog();
   const std::string sdir = root + "/serialize/";
   const std::string catalog_path = sdir + "catalog.bin";
-  if (!condsel::WriteCatalog(catalog, catalog_path).ok) {
+  if (!condsel::WriteCatalog(catalog, catalog_path).ok()) {
     std::fprintf(stderr, "ERROR: cannot write %s\n", catalog_path.c_str());
     return 1;
   }
   {
     const condsel::SitPool pool = condsel::fuzzing::MakeFuzzPool(~0u);
-    if (!condsel::WriteSitPool(pool, sdir + "pool.bin").ok) {
+    if (!condsel::WriteSitPool(pool, sdir + "pool.bin").ok()) {
       std::fprintf(stderr, "ERROR: cannot write pool.bin\n");
       return 1;
     }
@@ -105,7 +105,7 @@ int main(int argc, char** argv) {
                                             condsel::SitBuildOptions{});
     if (!maintainer.BuildAll().ok() ||
         !condsel::WritePartStats(maintainer.stats(),
-                                 sdir + "part_stats.bin").ok) {
+                                 sdir + "part_stats.bin").ok()) {
       std::fprintf(stderr, "ERROR: cannot write part_stats.bin\n");
       return 1;
     }

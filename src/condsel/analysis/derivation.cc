@@ -36,29 +36,14 @@ const char* DerivKindName(DerivKind kind) {
 DerivationNode& DerivationDag::AddNode(PredSet subset) {
   nodes_.emplace_back();
   nodes_.back().subset = subset;
-  by_subset_[subset].push_back(nodes_.size() - 1);
+  // The index keeps each subset's first node; duplicates stay in nodes_.
+  if (!by_subset_.contains(subset)) by_subset_[subset] = nodes_.size() - 1;
   return nodes_.back();
 }
 
 const DerivationNode* DerivationDag::Find(PredSet subset) const {
   auto it = by_subset_.find(subset);
-  if (it == by_subset_.end() || it->second.empty()) return nullptr;
-  return &nodes_[it->second.front()];
-}
-
-std::vector<const DerivationNode*> DerivationDag::FindAll(
-    PredSet subset) const {
-  std::vector<const DerivationNode*> out;
-  auto it = by_subset_.find(subset);
-  if (it == by_subset_.end()) return out;
-  out.reserve(it->second.size());
-  for (size_t idx : it->second) out.push_back(&nodes_[idx]);
-  return out;
-}
-
-void DerivationDag::Clear() {
-  nodes_.clear();
-  by_subset_.clear();
+  return it == by_subset_.end() ? nullptr : &nodes_[it->second];
 }
 
 std::string DerivationDag::ToString(const Query& query) const {

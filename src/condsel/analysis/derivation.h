@@ -130,21 +130,18 @@ class DerivationDag {
 
   // First recorded node for `subset`, or nullptr.
   const DerivationNode* Find(PredSet subset) const;
-  // All recorded nodes for `subset` (memo-consistency inspection).
-  std::vector<const DerivationNode*> FindAll(PredSet subset) const;
 
   bool recorded(PredSet subset) const { return Find(subset) != nullptr; }
   const std::deque<DerivationNode>& nodes() const { return nodes_; }
   size_t size() const { return nodes_.size(); }
   bool empty() const { return nodes_.empty(); }
-  void Clear();
 
   // Human-readable dump (one line per node), for debugging and the CLI.
   std::string ToString(const Query& query) const;
 
  private:
   std::deque<DerivationNode> nodes_;
-  std::unordered_map<PredSet, std::vector<size_t>> by_subset_;
+  std::unordered_map<PredSet, size_t> by_subset_;  // first node per subset
 };
 
 }  // namespace condsel

@@ -13,13 +13,8 @@
 namespace condsel {
 namespace {
 
-bool ColumnInCatalog(const Catalog& catalog, ColumnRef c) {
-  return c.table >= 0 && c.table < catalog.num_tables() && c.column >= 0 &&
-         c.column < catalog.table(c.table).num_columns();
-}
-
 std::string ColumnName(const Catalog& catalog, ColumnRef c) {
-  if (!ColumnInCatalog(catalog, c)) {
+  if (!catalog.HasColumn(c)) {
     return "(" + std::to_string(c.table) + "," + std::to_string(c.column) +
            ")";
   }
@@ -89,8 +84,8 @@ Status Estimator::ValidatePool() const {
   // out-of-range table/column ids (formerly a CHECK-abort deep inside
   // sit_matcher / atomic_provider).
   for (const Sit& sit : pool_->sits()) {
-    if (!ColumnInCatalog(*catalog_, sit.attr) ||
-        (sit.is_multidim() && !ColumnInCatalog(*catalog_, sit.attr2))) {
+    if (!catalog_->HasColumn(sit.attr) ||
+        (sit.is_multidim() && !catalog_->HasColumn(sit.attr2))) {
       pool_status_ = Status::FailedPrecondition(
           "SIT pool references column " + ColumnName(*catalog_, sit.attr) +
           " outside the catalog (pool built against a different database?)");
@@ -99,7 +94,7 @@ Status Estimator::ValidatePool() const {
     bool bad_expr = false;
     for (const Predicate& p : sit.expression) {
       for (const ColumnRef& c : p.attrs()) {
-        if (!ColumnInCatalog(*catalog_, c)) {
+        if (!catalog_->HasColumn(c)) {
           bad_expr = true;
           break;
         }
@@ -126,7 +121,7 @@ Status Estimator::ValidateQuery(const Query& query, PredSet subset) const {
   for (int i : SetBits(subset)) {
     const Predicate& p = query.predicate(i);
     for (const ColumnRef& c : p.attrs()) {
-      if (!ColumnInCatalog(*catalog_, c)) {
+      if (!catalog_->HasColumn(c)) {
         return Status::InvalidArgument(
             "predicate " + std::to_string(i) + " references column " +
             ColumnName(*catalog_, c) + " outside the catalog");
@@ -237,38 +232,6 @@ StatusOr<std::string> Estimator::TryExplain(const Query& query) {
   session.gs->Compute(query.all_predicates());
   AuditSession(session);
   return session.gs->Explain(query.all_predicates());
-}
-
-double Estimator::EstimateSelectivity(const Query& query, PredSet p) {
-  StatusOr<double> sel = TryEstimateSelectivity(query, p);
-  // Historical abort-on-error contract; Try* is the recoverable path.
-  // invariant: wrapper aborts by design.
-  CONDSEL_CHECK_MSG(sel.ok(), sel.status().ToString().c_str());
-  return *sel;
-}
-
-double Estimator::EstimateSelectivity(const Query& query) {
-  return EstimateSelectivity(query, query.all_predicates());
-}
-
-double Estimator::EstimateCardinality(const Query& query, PredSet p) {
-  StatusOr<double> card = TryEstimateCardinality(query, p);
-  // Historical abort-on-error contract; Try* is the recoverable path.
-  // invariant: wrapper aborts by design.
-  CONDSEL_CHECK_MSG(card.ok(), card.status().ToString().c_str());
-  return *card;
-}
-
-double Estimator::EstimateCardinality(const Query& query) {
-  return EstimateCardinality(query, query.all_predicates());
-}
-
-std::string Estimator::Explain(const Query& query) {
-  StatusOr<std::string> explain = TryExplain(query);
-  // Historical abort-on-error contract; Try* is the recoverable path.
-  // invariant: wrapper aborts by design.
-  CONDSEL_CHECK_MSG(explain.ok(), explain.status().ToString().c_str());
-  return *explain;
 }
 
 const GsStats* Estimator::StatsFor(const Query& query) const {

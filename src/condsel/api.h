@@ -4,8 +4,9 @@
 // single object, the way an optimizer would embed the library:
 //
 //   Estimator est(&catalog, &pool, Ranking::kDiff);
-//   double rows = est.EstimateCardinality(query);
-//   std::string why = est.Explain(query);
+//   StatusOr<double> rows = est.TryEstimateCardinality(query);
+//   if (!rows.ok()) return rows.status();
+//   StatusOr<std::string> why = est.TryExplain(query);
 //
 // The estimator keeps one memoized DP per distinct query (keyed by the
 // query's canonical predicate list), so an optimizer issuing many
@@ -13,20 +14,20 @@
 // Lower-level control (custom error functions, direct factor access)
 // remains available through the individual headers.
 //
-// Production embeddings should prefer the TryEstimate* entry points: they
-// validate the request against the catalog and pool up front and report
-// every user-triggerable failure (unknown columns, missing base
-// histograms, a pool deserialized against the wrong catalog) as a
-// recoverable Status instead of aborting. The historical double-returning
-// methods remain as thin wrappers that CHECK-fail on error, preserving
-// their original contract. An EstimationBudget (see get_selectivity.h)
-// caps the per-query search; on exhaustion estimates degrade to the
-// independence assumption rather than blocking or failing. The budget's
-// deadline is per-Compute state owned by each session's driver and passed
-// down the layers as a call argument (budget.h documents the contract):
-// an AtomicSelectivityProvider shared by several concurrent estimation
-// sessions carries no deadline — or any other per-search — state, so the
-// sessions cannot clobber each other's clock.
+// The Try* methods are the only entry points: they validate the request
+// against the catalog and pool up front and report every
+// user-triggerable failure (unknown columns, missing base histograms, a
+// pool deserialized against the wrong catalog) as a recoverable Status
+// instead of aborting. A caller that cannot handle the error writes
+// .value(), which aborts with the status message. An EstimationBudget
+// (see get_selectivity.h) caps the per-query search; on exhaustion
+// estimates degrade to the independence assumption rather than blocking
+// or failing. The budget's deadline is per-Compute state owned by each
+// session's driver and passed down the layers as a call argument
+// (budget.h documents the contract): an AtomicSelectivityProvider shared
+// by several concurrent estimation sessions carries no deadline — or any
+// other per-search — state, so the sessions cannot clobber each other's
+// clock.
 
 #pragma once
 
@@ -54,12 +55,12 @@ class Estimator {
   // because its sessions keep estimates and SIT pointers from them: new
   // statistics take a new pool and a new Estimator. The pool must contain
   // base histograms for every column the queries reference (TryEstimate*
-  // reports a violation as FAILED_PRECONDITION; the non-Try wrappers
-  // abort). `shape_cache` (optional, borrowed) shares decomposition
-  // skeletons across estimators — a service passes one cache to every
-  // per-attempt estimator so structurally identical statements enumerate
-  // candidates once; when null, the estimator uses a private cache (still
-  // shared across its own sessions).
+  // reports a violation as FAILED_PRECONDITION). `shape_cache` (optional,
+  // borrowed) shares decomposition skeletons across estimators — a
+  // service passes one cache to every per-attempt estimator so
+  // structurally identical statements enumerate candidates once; when
+  // null, the estimator uses a private cache (still shared across its own
+  // sessions).
   Estimator(const Catalog* catalog, const SitPool* pool,
             Ranking ranking = Ranking::kDiff,
             EstimationBudget budget = EstimationBudget{},
@@ -91,13 +92,6 @@ class Estimator {
   StatusOr<double> TryEstimateSelectivityStrict(const Query& query,
                                                 PredSet p);
 
-  // Historical abort-on-error wrappers around the Try* methods.
-  double EstimateSelectivity(const Query& query, PredSet p);
-  double EstimateSelectivity(const Query& query);
-  double EstimateCardinality(const Query& query, PredSet p);
-  double EstimateCardinality(const Query& query);
-  std::string Explain(const Query& query);
-
   // The budget applies to every live and future memoized search (it is
   // re-read on each Compute call).
   void set_budget(const EstimationBudget& budget) { budget_ = budget; }
@@ -107,18 +101,6 @@ class Estimator {
   // estimate has been requested for it yet. Includes the degradation
   // accounting (GsStats::budget_exhausted, degraded_subproblems).
   const GsStats* StatsFor(const Query& query) const;
-
-  // Post-estimate derivation auditing. When on, every session records its
-  // DP steps into a DerivationDag (analysis/derivation.h) and each
-  // estimate is followed by a DerivationAuditor pass over the session's
-  // derivation; a violation aborts — it means a library bug, never user
-  // error (user-triggerable failures surface as Status beforehand).
-  // Defaults to on in debug builds and off in release; the CONDSEL_AUDIT
-  // environment variable overrides either way ("0"/"false"/"off"/"no"
-  // disables, anything else enables). Toggling affects sessions created
-  // afterward, not live memoized searches.
-  void set_audit(bool on) { audit_ = on; }
-  bool audit() const { return audit_; }
 
   // Number of distinct queries with a live memoized search.
   size_t cached_queries() const { return sessions_.size(); }
@@ -140,7 +122,15 @@ class Estimator {
   const SitPool* pool_;
   Ranking ranking_;
   EstimationBudget budget_;
-  bool audit_;
+  // Post-estimate derivation auditing. When on, every session records its
+  // DP steps into a DerivationDag (analysis/derivation.h) and each
+  // estimate is followed by a DerivationAuditor pass over the session's
+  // derivation; a violation aborts — it means a library bug, never user
+  // error (user-triggerable failures surface as Status beforehand). On in
+  // debug builds and off in release; the CONDSEL_AUDIT environment
+  // variable overrides either way ("0"/"false"/"off"/"no" disables,
+  // anything else enables).
+  const bool audit_;
   // Decomposition-skeleton sharing: points at the caller's cache, or at
   // own_shapes_ when none was provided.
   ShapeCache own_shapes_;

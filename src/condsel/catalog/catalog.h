@@ -35,6 +35,13 @@ class Catalog {
   // Returns the table id for `name`, or kInvalidTableId.
   TableId FindTable(const std::string& name) const;
 
+  // Whether `c` names an existing table and one of its columns. Inline:
+  // the Estimator checks every column of every request against it.
+  bool HasColumn(ColumnRef c) const {
+    return c.table >= 0 && c.table < num_tables() && c.column >= 0 &&
+           c.column < tables_[static_cast<size_t>(c.table)].num_columns();
+  }
+
   // Resolves "table.column"; NOT_FOUND if either part is unknown.
   StatusOr<ColumnRef> TryResolveColumn(const std::string& table_name,
                                        const std::string& column_name) const;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <set>
 #include <string>
 
@@ -243,13 +244,48 @@ PartStatsMaintainer::PartStatsMaintainer(Catalog* catalog,
   stats_.SetSpecs(EnumerateSitSpecs(workload_, max_join_preds));
 }
 
+void PartStatsMaintainer::RebuildPieces(
+    TableId table, size_t part_index, const std::vector<int32_t>& owned,
+    const std::vector<size_t>& positions, BuildPass* pass,
+    PartStatsEntry* entry) const {
+  const Table& t = catalog_->table(table);
+  const size_t begin = t.part_row_offset(part_index);
+  const size_t end = begin + t.part(part_index).num_rows();
+
+  // Group by expression so each expression is evaluated once per part,
+  // same as GenerateSitPool does globally.
+  std::map<std::vector<Predicate>, std::vector<size_t>> by_expr;
+  for (const size_t i : positions) {
+    const SitSpec& spec = stats_.specs()[static_cast<size_t>(owned[i])];
+    if (spec.expression.empty()) {
+      Sit sit = builder_.BuildForRange(spec.attr, {}, begin, end, pass);
+      entry->pieces[i] = std::move(sit.histogram);
+      entry->diffs[i] = sit.diff;
+    } else {
+      by_expr[spec.expression].push_back(i);
+    }
+  }
+  for (const auto& [expr, group] : by_expr) {
+    std::vector<ColumnRef> attrs;
+    attrs.reserve(group.size());
+    for (const size_t i : group) {
+      attrs.push_back(stats_.specs()[static_cast<size_t>(owned[i])].attr);
+    }
+    std::vector<Sit> sits =
+        builder_.BuildManyForRange(attrs, expr, begin, end, pass);
+    // invariant: BuildManyForRange returns one Sit per requested attr.
+    CONDSEL_CHECK(sits.size() == group.size());
+    for (size_t k = 0; k < group.size(); ++k) {
+      entry->pieces[group[k]] = std::move(sits[k].histogram);
+      entry->diffs[group[k]] = sits[k].diff;
+    }
+  }
+}
+
 PartStatsEntry PartStatsMaintainer::BuildEntry(TableId table,
                                                size_t part_index,
                                                BuildPass* pass) {
-  const Table& t = catalog_->table(table);
-  const Part& part = t.part(part_index);
-  const size_t begin = t.part_row_offset(part_index);
-  const size_t end = begin + part.num_rows();
+  const Part& part = catalog_->table(table).part(part_index);
 
   PartStatsEntry entry;
   entry.table = table;
@@ -260,35 +296,9 @@ PartStatsEntry PartStatsMaintainer::BuildEntry(TableId table,
   const std::vector<int32_t> owned = stats_.SpecsOwnedBy(table);
   entry.pieces.resize(owned.size());
   entry.diffs.resize(owned.size());
-
-  // Group by expression so each expression is evaluated once per part,
-  // same as GenerateSitPool does globally.
-  std::map<std::vector<Predicate>, std::vector<size_t>> by_expr;
-  for (size_t i = 0; i < owned.size(); ++i) {
-    const SitSpec& spec = stats_.specs()[static_cast<size_t>(owned[i])];
-    if (spec.expression.empty()) {
-      Sit sit = builder_.BuildForRange(spec.attr, {}, begin, end, pass);
-      entry.pieces[i] = std::move(sit.histogram);
-      entry.diffs[i] = sit.diff;
-    } else {
-      by_expr[spec.expression].push_back(i);
-    }
-  }
-  for (const auto& [expr, positions] : by_expr) {
-    std::vector<ColumnRef> attrs;
-    attrs.reserve(positions.size());
-    for (size_t i : positions) {
-      attrs.push_back(stats_.specs()[static_cast<size_t>(owned[i])].attr);
-    }
-    std::vector<Sit> sits =
-        builder_.BuildManyForRange(attrs, expr, begin, end, pass);
-    // invariant: BuildManyForRange returns one Sit per requested attr.
-    CONDSEL_CHECK(sits.size() == positions.size());
-    for (size_t k = 0; k < positions.size(); ++k) {
-      entry.pieces[positions[k]] = std::move(sits[k].histogram);
-      entry.diffs[positions[k]] = sits[k].diff;
-    }
-  }
+  std::vector<size_t> all(owned.size());
+  std::iota(all.begin(), all.end(), size_t{0});
+  RebuildPieces(table, part_index, owned, all, pass, &entry);
   return entry;
 }
 
@@ -402,38 +412,15 @@ StatusOr<DeltaReport> PartStatsMaintainer::ApplyDelta(
     const Table& ot = catalog_->table(owner);
     const std::vector<int32_t> owned = stats_.SpecsOwnedBy(owner);
     for (size_t pi = 0; pi < ot.num_parts(); ++pi) {
-      const Part& part = ot.part(pi);
-      const size_t begin = ot.part_row_offset(pi);
-      const size_t end = begin + part.num_rows();
-      const PartStatsEntry* old = stats_.FindEntry(owner, part.id());
+      const PartId id = ot.part(pi).id();
+      const PartStatsEntry* old = stats_.FindEntry(owner, id);
       // BuildAll populated an entry for every owner part and this
       // delta left owner parts untouched — invariant: the entry exists.
       CONDSEL_CHECK(old != nullptr);
       PartStatsEntry entry = *old;
-      // Group the affected positions by expression: one evaluation per
-      // (expression, part), as in BuildEntry.
-      std::map<std::vector<Predicate>, std::vector<size_t>> by_expr;
-      for (size_t p : positions) {
-        by_expr[stats_.specs()[static_cast<size_t>(owned[p])].expression]
-            .push_back(p);
-      }
-      for (const auto& [expr, pos_list] : by_expr) {
-        std::vector<ColumnRef> attrs;
-        for (size_t p : pos_list) {
-          attrs.push_back(
-              stats_.specs()[static_cast<size_t>(owned[p])].attr);
-        }
-        std::vector<Sit> sits =
-            builder_.BuildManyForRange(attrs, expr, begin, end, &pass);
-        // invariant: BuildManyForRange returns one Sit per requested attr.
-        CONDSEL_CHECK(sits.size() == pos_list.size());
-        for (size_t k = 0; k < pos_list.size(); ++k) {
-          entry.pieces[pos_list[k]] = std::move(sits[k].histogram);
-          entry.diffs[pos_list[k]] = sits[k].diff;
-          ++report.cross_table_pieces_rebuilt;
-        }
-      }
-      cross_touched.insert(std::make_pair(owner, part.id()));
+      RebuildPieces(owner, pi, owned, positions, &pass, &entry);
+      report.cross_table_pieces_rebuilt += static_cast<int>(positions.size());
+      cross_touched.insert(std::make_pair(owner, id));
       stats_.PutEntry(std::move(entry));
     }
   }

@@ -151,6 +151,14 @@ class PartStatsMaintainer {
   PartStatsEntry BuildEntry(TableId table, size_t part_index,
                             BuildPass* pass);
 
+  // Rebuilds `entry`'s pieces and diffs at `positions` (indices into
+  // `owned`, the specs `table` owns) over the rows of part `part_index`,
+  // in `pass`. BuildEntry and ApplyDelta's cross-table refresh share it.
+  void RebuildPieces(TableId table, size_t part_index,
+                     const std::vector<int32_t>& owned,
+                     const std::vector<size_t>& positions, BuildPass* pass,
+                     PartStatsEntry* entry) const;
+
   Catalog* catalog_;
   std::vector<Query> workload_;
   SitBuildOptions options_;

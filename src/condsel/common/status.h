@@ -2,11 +2,11 @@
 //
 // CONDSEL_CHECK remains the tool for *internal invariants* — conditions no
 // input can violate without a bug in this library. Everything a caller can
-// trigger from the outside (a malformed query, a SIT pool built against a
-// different catalog, an exhausted estimation budget) is reported through
-// Status / StatusOr<T>, matching the by-value style of ParseResult and
-// IoResult but with a machine-readable code the embedding optimizer can
-// branch on (retry, degrade, or surface to the user).
+// trigger from the outside (a malformed query or SQL text, a corrupt
+// statistics file, a SIT pool built against a different catalog) is
+// reported through Status / StatusOr<T>, the library's one error type,
+// with a machine-readable code the embedding optimizer can branch on
+// (retry, degrade, or surface to the user).
 
 #pragma once
 
@@ -112,9 +112,9 @@ class [[nodiscard]] StatusOr {
   bool ok() const { return status_.ok(); }
   const Status& status() const { return status_; }
 
-  // Aborts if !ok(): callers must branch on ok() first (or use the
-  // Estimator's non-Try wrappers, which keep the historical abort-on-error
-  // contract).
+  // Aborts with the status message if !ok(): callers that cannot handle
+  // the error (tests, trusted inputs) write .value(); the others branch
+  // on ok() first.
   const T& value() const {
     // invariant: value() requires ok(); see the contract above.
     CONDSEL_CHECK_MSG(status_.ok(), status_.message().c_str());

@@ -1,6 +1,5 @@
 #include "condsel/exec/evaluator.h"
 
-#include <algorithm>
 #include <unordered_map>
 
 #include "condsel/common/macros.h"
@@ -188,8 +187,7 @@ StatusOr<double> Evaluator::TryCardinality(const Query& q, PredSet subset) {
   }
   for (int i : SetElements(subset)) {
     for (const ColumnRef& c : q.predicate(i).attrs()) {
-      if (c.table < 0 || c.table >= catalog_->num_tables() || c.column < 0 ||
-          c.column >= catalog_->table(c.table).num_columns()) {
+      if (!catalog_->HasColumn(c)) {
         return Status::InvalidArgument(
             "predicate " + std::to_string(i) +
             " references a column outside the catalog");
@@ -258,57 +256,6 @@ double Evaluator::TrueConditionalSelectivity(const Query& q, PredSet p,
   }
   if (extra_cross == 0.0) return 0.0;
   return Cardinality(q, pq) / (denom_card * extra_cross);
-}
-
-double Evaluator::CountDistinct(const Query& q, PredSet subset,
-                                ColumnRef col) {
-  ColumnProjection proj = ProjectColumn(q, subset, col);
-  std::sort(proj.values.begin(), proj.values.end());
-  proj.values.erase(std::unique(proj.values.begin(), proj.values.end()),
-                    proj.values.end());
-  return static_cast<double>(proj.values.size());
-}
-
-ColumnProjection Evaluator::ProjectColumn(const Query& q, PredSet subset,
-                                          ColumnRef col) {
-  ColumnProjection out;
-  if (subset == 0) {
-    const Table& t = catalog_->table(col.table);
-    out.total_tuples = t.num_rows();
-    out.values.reserve(t.num_rows());
-    // Walk sealed parts column-wise (no per-row part lookup), then the
-    // tail through value(); global row order is preserved.
-    for (size_t pi = 0; pi < t.num_parts(); ++pi) {
-      for (const int64_t v : t.part(pi).column(col.column).values()) {
-        if (!IsNull(v)) out.values.push_back(v);
-      }
-    }
-    for (size_t r = t.sealed_rows(); r < t.num_rows(); ++r) {
-      const int64_t v = t.value(r, col.column);
-      if (!IsNull(v)) out.values.push_back(v);
-    }
-    return out;
-  }
-
-  for (PredSet comp : ConnectedComponents(q, subset)) {
-    if (!Contains(q.TablesOfSubset(comp), col.table)) continue;
-    const JoinResult jr = EvaluateComponent(q, comp);
-    const int slot = jr.TableSlot(col.table);
-    CONDSEL_CHECK(slot >= 0);  // invariant: comp covers col.table
-    const Table& t = catalog_->table(col.table);
-    const size_t width = jr.tables.size();
-    out.total_tuples = jr.num_tuples;
-    out.values.reserve(jr.num_tuples);
-    for (size_t i = 0; i < jr.num_tuples; ++i) {
-      const int64_t v = t.value(
-          jr.tuple_rows[i * width + static_cast<size_t>(slot)], col.column);
-      if (!IsNull(v)) out.values.push_back(v);
-    }
-    return out;
-  }
-  // invariant: callers project columns of tables inside `subset`.
-  CONDSEL_CHECK_MSG(false, "ProjectColumn: column's table not in subset");
-  return out;
 }
 
 }  // namespace condsel

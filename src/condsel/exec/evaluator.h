@@ -5,8 +5,7 @@
 //    (ground truth for the error metric, and the oracle behind GS-Opt);
 //  - exact conditional selectivities Sel_R(P|Q) (Definition 1);
 //  - materialized query-expression results (the input to SIT
-//    construction, sit/sit_builder.h) and projections of one column over
-//    them (ground truth for GROUP BY cardinalities).
+//    construction, sit/sit_builder.h).
 //
 // Evaluation strategy: predicates are split into connected components
 // (standard decomposition); per component, filters are applied per table
@@ -36,14 +35,6 @@ struct JoinResult {
 
   // Position of `t` within `tables`; -1 when absent.
   int TableSlot(TableId t) const;
-};
-
-// A column projected over a query-expression result: the non-NULL values
-// (with multiplicity) plus the total tuple count of the result, so callers
-// can normalize frequencies against the full result including NULLs.
-struct ColumnProjection {
-  std::vector<int64_t> values;
-  size_t total_tuples = 0;
 };
 
 // Restricts evaluation to rows [begin, end) of one table; every other
@@ -89,18 +80,6 @@ class Evaluator {
   // predicates alone).
   JoinResult EvaluateComponent(const Query& q, PredSet component,
                                const RowRestriction* restriction = nullptr);
-
-  // Exact count of distinct non-NULL values of `col` over
-  // sigma_subset(...) — ground truth for GROUP BY cardinalities.
-  double CountDistinct(const Query& q, PredSet subset, ColumnRef col);
-
-  // Projects `col` over sigma_subset(...). `col.table` must belong to
-  // tables(subset), or `subset` must be empty (base-table projection).
-  // Only the component containing `col.table` is materialized: the other
-  // components scale every frequency uniformly and cancel out of any
-  // normalized distribution.
-  ColumnProjection ProjectColumn(const Query& q, PredSet subset,
-                                 ColumnRef col);
 
   const Catalog& catalog() const { return *catalog_; }
 

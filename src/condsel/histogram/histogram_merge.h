@@ -6,8 +6,7 @@
 // weighted mixture of the pieces. MergeHistograms materializes that
 // mixture as an ordinary Histogram over the union of the pieces' bucket
 // boundaries (coalesced down to `max_buckets`), for consumers that need a
-// single summary — introspection, distinct-count math, serialization of a
-// flat view. Selectivity estimation does NOT go through the merged
+// single summary — introspection, serialization of a flat view. Selectivity estimation does NOT go through the merged
 // summary: AtomicSelectivityProvider merges per-piece estimates directly,
 // which is exact where this summary re-applies the uniform-bucket
 // assumption.

@@ -219,11 +219,6 @@ void WritePredicate(Writer& w, const Predicate& p) {
   }
 }
 
-bool ValidColumn(const Catalog& catalog, ColumnRef c) {
-  return c.table >= 0 && c.table < catalog.num_tables() && c.column >= 0 &&
-         c.column < catalog.table(c.table).num_columns();
-}
-
 bool ReadPredicate(Reader& r, const Catalog& catalog, Predicate* out) {
   const uint32_t is_join = r.U32();
   if (is_join == 1) {
@@ -231,7 +226,7 @@ bool ReadPredicate(Reader& r, const Catalog& catalog, Predicate* out) {
                       static_cast<ColumnId>(r.U32())};
     const ColumnRef rt{static_cast<TableId>(r.U32()),
                        static_cast<ColumnId>(r.U32())};
-    if (!r.ok() || !ValidColumn(catalog, l) || !ValidColumn(catalog, rt) ||
+    if (!r.ok() || !catalog.HasColumn(l) || !catalog.HasColumn(rt) ||
         l.table == rt.table) {
       return false;
     }
@@ -243,16 +238,16 @@ bool ReadPredicate(Reader& r, const Catalog& catalog, Predicate* out) {
                     static_cast<ColumnId>(r.U32())};
   const int64_t lo = r.I64();
   const int64_t hi = r.I64();
-  if (!r.ok() || !ValidColumn(catalog, c) || lo > hi) return false;
+  if (!r.ok() || !catalog.HasColumn(c) || lo > hi) return false;
   *out = Predicate::Filter(c, lo, hi);
   return true;
 }
 
 }  // namespace
 
-IoResult WriteCatalog(const Catalog& catalog, const std::string& path) {
+Status WriteCatalog(const Catalog& catalog, const std::string& path) {
   File f(std::fopen(path.c_str(), "wb"));
-  if (!f) return IoResult::Fail("cannot open '" + path + "' for writing");
+  if (!f) return Status::DataLoss("cannot open '" + path + "' for writing");
   Writer w(f.get());
   w.U32(kCatalogMagic);
   w.U32(kCatalogVersion);
@@ -295,33 +290,33 @@ IoResult WriteCatalog(const Catalog& catalog, const std::string& path) {
     w.U32(static_cast<uint32_t>(fk.pk_table));
     w.U32(static_cast<uint32_t>(fk.pk_column));
   }
-  if (!w.ok()) return IoResult::Fail("write failed for '" + path + "'");
-  return IoResult::Ok();
+  if (!w.ok()) return Status::DataLoss("write failed for '" + path + "'");
+  return Status::Ok();
 }
 
 namespace {
 
-IoResult ReadCatalogStream(std::FILE* file, const std::string& name,
-                           Catalog* out) {
+Status ReadCatalogStream(std::FILE* file, const std::string& name,
+                         Catalog* out) {
   Reader r(file);
   if (r.U32() != kCatalogMagic) {
-    return IoResult::Fail(name + " is not a condsel catalog file");
+    return Status::DataLoss(name + " is not a condsel catalog file");
   }
   const uint32_t version = r.U32();
   if (version != kVersion && version != kCatalogVersion) {
-    return IoResult::Fail("unsupported catalog version in " + name);
+    return Status::DataLoss("unsupported catalog version in " + name);
   }
   Catalog catalog;
   const uint32_t num_tables = r.U32();
   if (!r.ok() || num_tables > 1024) {
-    return IoResult::Fail("corrupt table count");
+    return Status::DataLoss("corrupt table count");
   }
   for (uint32_t t = 0; t < num_tables; ++t) {
     TableSchema schema;
     schema.name = r.Str();
     const uint32_t num_cols = r.U32();
     if (!r.ok() || num_cols > 4096) {
-      return IoResult::Fail("corrupt column count");
+      return Status::DataLoss("corrupt column count");
     }
     for (uint32_t c = 0; c < num_cols; ++c) {
       ColumnSchema cs;
@@ -356,7 +351,7 @@ IoResult ReadCatalogStream(std::FILE* file, const std::string& name,
       // tables stay part-free, matching LoadPart-built catalogs).
       std::vector<Column> cols;
       if (const char* err = read_column_set(&cols)) {
-        return IoResult::Fail(err);
+        return Status::DataLoss(err);
       }
       if (num_cols > 0 && cols[0].size() > 0) {
         table.LoadPart(std::move(cols));
@@ -364,7 +359,7 @@ IoResult ReadCatalogStream(std::FILE* file, const std::string& name,
     } else {
       const uint32_t num_parts = r.U32();
       if (!r.ok() || num_parts > 4096) {
-        return IoResult::Fail("corrupt part count");
+        return Status::DataLoss("corrupt part count");
       }
       std::set<uint32_t> seen_ids;
       for (uint32_t pi = 0; pi < num_parts; ++pi) {
@@ -372,25 +367,25 @@ IoResult ReadCatalogStream(std::FILE* file, const std::string& name,
         const uint64_t generation = r.U64();
         std::vector<Column> cols;
         if (const char* err = read_column_set(&cols)) {
-          return IoResult::Fail(err);
+          return Status::DataLoss(err);
         }
         // RestorePart CHECKs id uniqueness; reject corrupt files softly.
         if (id > (1u << 20) || !seen_ids.insert(id).second) {
-          return IoResult::Fail("corrupt part id");
+          return Status::DataLoss("corrupt part id");
         }
         table.RestorePart(static_cast<PartId>(id), generation,
                           std::move(cols));
       }
       const uint64_t tail_rows = r.U64();
       if (!r.ok() || !r.Plausible(tail_rows, num_cols * sizeof(int64_t))) {
-        return IoResult::Fail("corrupt tail row count");
+        return Status::DataLoss("corrupt tail row count");
       }
       std::vector<Column> tail;
       if (const char* err = read_column_set(&tail)) {
-        return IoResult::Fail(err);
+        return Status::DataLoss(err);
       }
       if (!tail.empty() && tail[0].size() != tail_rows) {
-        return IoResult::Fail("tail rows disagree with tail columns");
+        return Status::DataLoss("tail rows disagree with tail columns");
       }
       table.RestoreTail(std::move(tail));
     }
@@ -398,7 +393,7 @@ IoResult ReadCatalogStream(std::FILE* file, const std::string& name,
   }
   const uint32_t num_fks = r.U32();
   if (!r.ok() || num_fks > 4096) {
-    return IoResult::Fail("corrupt foreign-key count");
+    return Status::DataLoss("corrupt foreign-key count");
   }
   for (uint32_t i = 0; i < num_fks; ++i) {
     ForeignKey fk;
@@ -408,48 +403,48 @@ IoResult ReadCatalogStream(std::FILE* file, const std::string& name,
     fk.pk_column = static_cast<ColumnId>(r.U32());
     // AddForeignKey treats out-of-range table ids as an internal invariant
     // violation (abort); validate the corrupt-file case here.
-    if (!r.ok() || !ValidColumn(catalog, {fk.fk_table, fk.fk_column}) ||
-        !ValidColumn(catalog, {fk.pk_table, fk.pk_column})) {
-      return IoResult::Fail("corrupt foreign key");
+    if (!r.ok() || !catalog.HasColumn({fk.fk_table, fk.fk_column}) ||
+        !catalog.HasColumn({fk.pk_table, fk.pk_column})) {
+      return Status::DataLoss("corrupt foreign key");
     }
     catalog.AddForeignKey(fk);
   }
   *out = std::move(catalog);
-  return IoResult::Ok();
+  return Status::Ok();
 }
 
 }  // namespace
 
-IoResult ReadCatalog(const std::string& path, Catalog* out) {
+Status ReadCatalog(const std::string& path, Catalog* out) {
   File f(std::fopen(path.c_str(), "rb"));
-  if (!f) return IoResult::Fail("cannot open '" + path + "'");
+  if (!f) return Status::DataLoss("cannot open '" + path + "'");
   return ReadCatalogStream(f.get(), "'" + path + "'", out);
 }
 
-IoResult ReadCatalogFromBuffer(const void* data, size_t size, Catalog* out) {
+Status ReadCatalogFromBuffer(const void* data, size_t size, Catalog* out) {
   if (data == nullptr || size == 0) {
-    return IoResult::Fail("empty catalog buffer");
+    return Status::DataLoss("empty catalog buffer");
   }
   // fmemopen's read mode never writes through the pointer.
   File f(fmemopen(const_cast<void*>(data), size, "rb"));
-  if (!f) return IoResult::Fail("cannot map catalog buffer");
+  if (!f) return Status::DataLoss("cannot map catalog buffer");
   return ReadCatalogStream(f.get(), "buffer", out);
 }
 
-IoResult WriteSitPool(const SitPool& pool, const std::string& path) {
+Status WriteSitPool(const SitPool& pool, const std::string& path) {
   // The pool format stores one histogram per SIT. A partitioned SIT's
   // per-part pieces would be dropped and it would read back as a flat SIT
   // estimating from the merged summary; refuse it instead.
   for (const Sit& s : pool.sits()) {
     if (s.is_partitioned()) {
-      return IoResult::Fail(
+      return Status::DataLoss(
           "SIT " + std::to_string(s.id) + " has per-part pieces the pool "
           "format cannot store; persist partitioned statistics with "
           "WritePartStats");
     }
   }
   File f(std::fopen(path.c_str(), "wb"));
-  if (!f) return IoResult::Fail("cannot open '" + path + "' for writing");
+  if (!f) return Status::DataLoss("cannot open '" + path + "' for writing");
   Writer w(f.get());
   w.U32(kPoolMagic);
   w.U32(kVersion);
@@ -471,80 +466,80 @@ IoResult WriteSitPool(const SitPool& pool, const std::string& path) {
       WriteHistogram(w, s.histogram);
     }
   }
-  if (!w.ok()) return IoResult::Fail("write failed for '" + path + "'");
-  return IoResult::Ok();
+  if (!w.ok()) return Status::DataLoss("write failed for '" + path + "'");
+  return Status::Ok();
 }
 
 namespace {
 
-IoResult ReadSitPoolStream(std::FILE* file, const std::string& name,
-                           const Catalog& catalog, SitPool* out) {
+Status ReadSitPoolStream(std::FILE* file, const std::string& name,
+                         const Catalog& catalog, SitPool* out) {
   Reader r(file);
   if (r.U32() != kPoolMagic) {
-    return IoResult::Fail(name + " is not a condsel SIT pool file");
+    return Status::DataLoss(name + " is not a condsel SIT pool file");
   }
   if (r.U32() != kVersion) {
-    return IoResult::Fail("unsupported pool version in " + name);
+    return Status::DataLoss("unsupported pool version in " + name);
   }
   SitPool pool;
   const uint32_t num_sits = r.U32();
   if (!r.ok() || num_sits > (1u << 20)) {
-    return IoResult::Fail("corrupt SIT count");
+    return Status::DataLoss("corrupt SIT count");
   }
   for (uint32_t i = 0; i < num_sits; ++i) {
     Sit sit;
     sit.attr = ColumnRef{static_cast<TableId>(r.U32()),
                          static_cast<ColumnId>(r.U32())};
-    if (!ValidColumn(catalog, sit.attr)) {
-      return IoResult::Fail("SIT attribute does not exist in the catalog");
+    if (!catalog.HasColumn(sit.attr)) {
+      return Status::DataLoss("SIT attribute does not exist in the catalog");
     }
     const uint32_t multidim = r.U32();
     if (multidim == 1) {
       sit.attr2 = ColumnRef{static_cast<TableId>(r.U32()),
                             static_cast<ColumnId>(r.U32())};
-      if (!ValidColumn(catalog, sit.attr2)) {
-        return IoResult::Fail(
+      if (!catalog.HasColumn(sit.attr2)) {
+        return Status::DataLoss(
             "SIT second attribute does not exist in the catalog");
       }
     } else if (multidim != 0) {
-      return IoResult::Fail("corrupt SIT header");
+      return Status::DataLoss("corrupt SIT header");
     }
     const uint32_t num_preds = r.U32();
     if (!r.ok() || num_preds > 64) {
-      return IoResult::Fail("corrupt SIT expression");
+      return Status::DataLoss("corrupt SIT expression");
     }
     for (uint32_t p = 0; p < num_preds; ++p) {
       Predicate pred = Predicate::Filter(ColumnRef{0, 0}, 0, 0);
       if (!ReadPredicate(r, catalog, &pred)) {
-        return IoResult::Fail("corrupt SIT expression predicate");
+        return Status::DataLoss("corrupt SIT expression predicate");
       }
       sit.expression.push_back(pred);
     }
     sit.diff = r.F64();
     if (multidim == 1) {
       if (!ReadHistogram2d(r, &sit.histogram2d)) {
-        return IoResult::Fail("corrupt 2-d histogram");
+        return Status::DataLoss("corrupt 2-d histogram");
       }
     } else {
       if (!ReadHistogram(r, &sit.histogram)) {
-        return IoResult::Fail("corrupt histogram");
+        return Status::DataLoss("corrupt histogram");
       }
     }
     // Negated form rejects NaN diffs too.
     if (!r.ok() || !(sit.diff >= 0.0 && sit.diff <= 1.0)) {
-      return IoResult::Fail("corrupt SIT payload");
+      return Status::DataLoss("corrupt SIT payload");
     }
     pool.Add(std::move(sit));
   }
   *out = std::move(pool);
-  return IoResult::Ok();
+  return Status::Ok();
 }
 
 }  // namespace
 
-IoResult WritePartStats(const PartStatsSet& stats, const std::string& path) {
+Status WritePartStats(const PartStatsSet& stats, const std::string& path) {
   File f(std::fopen(path.c_str(), "wb"));
-  if (!f) return IoResult::Fail("cannot open '" + path + "' for writing");
+  if (!f) return Status::DataLoss("cannot open '" + path + "' for writing");
   Writer w(f.get());
   w.U32(kPartStatsMagic);
   w.U32(kPartStatsVersion);
@@ -567,25 +562,25 @@ IoResult WritePartStats(const PartStatsSet& stats, const std::string& path) {
       w.F64(entry.diffs[i]);
     }
   }
-  if (!w.ok()) return IoResult::Fail("write failed for '" + path + "'");
-  return IoResult::Ok();
+  if (!w.ok()) return Status::DataLoss("write failed for '" + path + "'");
+  return Status::Ok();
 }
 
 namespace {
 
-IoResult ReadPartStatsStream(std::FILE* file, const std::string& name,
-                             const Catalog& catalog, PartStatsSet* out) {
+Status ReadPartStatsStream(std::FILE* file, const std::string& name,
+                           const Catalog& catalog, PartStatsSet* out) {
   Reader r(file);
   if (r.U32() != kPartStatsMagic) {
-    return IoResult::Fail(name + " is not a condsel part-stats file");
+    return Status::DataLoss(name + " is not a condsel part-stats file");
   }
   if (r.U32() != kPartStatsVersion) {
-    return IoResult::Fail("unsupported part-stats version in " + name);
+    return Status::DataLoss("unsupported part-stats version in " + name);
   }
   PartStatsSet stats;
   const uint32_t num_specs = r.U32();
   if (!r.ok() || num_specs > (1u << 20)) {
-    return IoResult::Fail("corrupt spec count");
+    return Status::DataLoss("corrupt spec count");
   }
   std::vector<SitSpec> specs;
   specs.reserve(num_specs);
@@ -593,17 +588,17 @@ IoResult ReadPartStatsStream(std::FILE* file, const std::string& name,
     SitSpec spec;
     spec.attr = ColumnRef{static_cast<TableId>(r.U32()),
                           static_cast<ColumnId>(r.U32())};
-    if (!r.ok() || !ValidColumn(catalog, spec.attr)) {
-      return IoResult::Fail("spec attribute does not exist in the catalog");
+    if (!r.ok() || !catalog.HasColumn(spec.attr)) {
+      return Status::DataLoss("spec attribute does not exist in the catalog");
     }
     const uint32_t num_preds = r.U32();
     if (!r.ok() || num_preds > 64) {
-      return IoResult::Fail("corrupt spec expression");
+      return Status::DataLoss("corrupt spec expression");
     }
     for (uint32_t p = 0; p < num_preds; ++p) {
       Predicate pred = Predicate::Filter(ColumnRef{0, 0}, 0, 0);
       if (!ReadPredicate(r, catalog, &pred)) {
-        return IoResult::Fail("corrupt spec expression predicate");
+        return Status::DataLoss("corrupt spec expression predicate");
       }
       spec.expression.push_back(pred);
     }
@@ -612,7 +607,7 @@ IoResult ReadPartStatsStream(std::FILE* file, const std::string& name,
   stats.SetSpecs(std::move(specs));
   const uint32_t num_entries = r.U32();
   if (!r.ok() || num_entries > (1u << 20)) {
-    return IoResult::Fail("corrupt entry count");
+    return Status::DataLoss("corrupt entry count");
   }
   for (uint32_t i = 0; i < num_entries; ++i) {
     PartStatsEntry entry;
@@ -621,89 +616,89 @@ IoResult ReadPartStatsStream(std::FILE* file, const std::string& name,
     entry.generation = r.U64();
     entry.rows = r.F64();
     if (!r.ok() || entry.table < 0 || entry.table >= catalog.num_tables()) {
-      return IoResult::Fail("part-stats entry references an unknown table");
+      return Status::DataLoss("part-stats entry references an unknown table");
     }
     const Table& table = catalog.table(entry.table);
     const int pi = table.part_index(entry.part);
     if (pi < 0) {
-      return IoResult::Fail("part-stats entry references an unknown part");
+      return Status::DataLoss("part-stats entry references an unknown part");
     }
     // A stamp from before (or after) the live part's generation means the
     // pieces describe rows this part no longer holds: stale statistics
     // must be rebuilt, not loaded.
     if (entry.generation != table.part(static_cast<size_t>(pi)).generation()) {
-      return IoResult::Fail("stale part-stats entry (generation mismatch)");
+      return Status::DataLoss("stale part-stats entry (generation mismatch)");
     }
     // Negated form rejects a NaN row count.
     if (!(entry.rows >= 0.0)) {
-      return IoResult::Fail("corrupt part-stats row count");
+      return Status::DataLoss("corrupt part-stats row count");
     }
     const uint32_t num_pieces = r.U32();
     const size_t owned = stats.SpecsOwnedBy(entry.table).size();
     if (!r.ok() || num_pieces != owned) {
-      return IoResult::Fail("part-stats pieces disagree with the spec list");
+      return Status::DataLoss("part-stats pieces disagree with the spec list");
     }
     for (uint32_t p = 0; p < num_pieces; ++p) {
       Histogram piece;
       // ReadHistogram validates bucket shape before the Histogram
       // constructor runs, so NaN frequencies fail softly here.
       if (!ReadHistogram(r, &piece)) {
-        return IoResult::Fail("corrupt part-stats piece");
+        return Status::DataLoss("corrupt part-stats piece");
       }
       // The constructor does not check the cardinality; the merge weights
       // divide by it, so reject NaN/negative values here.
       if (!(piece.source_cardinality() >= 0.0)) {
-        return IoResult::Fail("corrupt part-stats piece cardinality");
+        return Status::DataLoss("corrupt part-stats piece cardinality");
       }
       const double diff = r.F64();
       if (!r.ok() || !(diff >= 0.0 && diff <= 1.0)) {
-        return IoResult::Fail("corrupt part-stats diff");
+        return Status::DataLoss("corrupt part-stats diff");
       }
       entry.pieces.push_back(std::move(piece));
       entry.diffs.push_back(diff);
     }
     if (stats.FindEntry(entry.table, entry.part) != nullptr) {
-      return IoResult::Fail("duplicate part-stats entry");
+      return Status::DataLoss("duplicate part-stats entry");
     }
     stats.PutEntry(std::move(entry));
   }
   *out = std::move(stats);
-  return IoResult::Ok();
+  return Status::Ok();
 }
 
 }  // namespace
 
-IoResult ReadPartStats(const std::string& path, const Catalog& catalog,
-                       PartStatsSet* out) {
+Status ReadPartStats(const std::string& path, const Catalog& catalog,
+                     PartStatsSet* out) {
   File f(std::fopen(path.c_str(), "rb"));
-  if (!f) return IoResult::Fail("cannot open '" + path + "'");
+  if (!f) return Status::DataLoss("cannot open '" + path + "'");
   return ReadPartStatsStream(f.get(), "'" + path + "'", catalog, out);
 }
 
-IoResult ReadPartStatsFromBuffer(const void* data, size_t size,
-                                 const Catalog& catalog, PartStatsSet* out) {
+Status ReadPartStatsFromBuffer(const void* data, size_t size,
+                               const Catalog& catalog, PartStatsSet* out) {
   if (data == nullptr || size == 0) {
-    return IoResult::Fail("empty part-stats buffer");
+    return Status::DataLoss("empty part-stats buffer");
   }
   File f(fmemopen(const_cast<void*>(data), size, "rb"));
-  if (!f) return IoResult::Fail("cannot map part-stats buffer");
+  if (!f) return Status::DataLoss("cannot map part-stats buffer");
   return ReadPartStatsStream(f.get(), "buffer", catalog, out);
 }
 
-IoResult ReadSitPool(const std::string& path, const Catalog& catalog,
-                     SitPool* out) {
+Status ReadSitPool(const std::string& path, const Catalog& catalog,
+                   SitPool* out) {
   File f(std::fopen(path.c_str(), "rb"));
-  if (!f) return IoResult::Fail("cannot open '" + path + "'");
+  if (!f) return Status::DataLoss("cannot open '" + path + "'");
   return ReadSitPoolStream(f.get(), "'" + path + "'", catalog, out);
 }
 
-IoResult ReadSitPoolFromBuffer(const void* data, size_t size,
-                               const Catalog& catalog, SitPool* out) {
+Status ReadSitPoolFromBuffer(const void* data, size_t size,
+                             const Catalog& catalog, SitPool* out) {
   if (data == nullptr || size == 0) {
-    return IoResult::Fail("empty SIT pool buffer");
+    return Status::DataLoss("empty SIT pool buffer");
   }
   File f(fmemopen(const_cast<void*>(data), size, "rb"));
-  if (!f) return IoResult::Fail("cannot map SIT pool buffer");
+  if (!f) return Status::DataLoss("cannot map SIT pool buffer");
   return ReadSitPoolStream(f.get(), "buffer", catalog, out);
 }
 

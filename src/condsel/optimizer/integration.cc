@@ -24,14 +24,6 @@ StatusOr<SelEstimate> OptimizerCoupledEstimator::TryEstimate(PredSet preds) {
   return EstimateGroup(id);
 }
 
-SelEstimate OptimizerCoupledEstimator::Estimate(PredSet preds) {
-  StatusOr<SelEstimate> result = TryEstimate(preds);
-  // Abort-on-error wrapper; TryEstimate is the recoverable path.
-  // invariant: wrapper aborts by design.
-  CONDSEL_CHECK_MSG(result.ok(), result.status().message().c_str());
-  return *result;
-}
-
 StatusOr<SelEstimate> OptimizerCoupledEstimator::EstimateGroup(int group_id) {
   auto it = best_.find(group_id);
   if (it != best_.end()) return it->second;

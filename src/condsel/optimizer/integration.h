@@ -13,8 +13,7 @@
 // TryEstimate is the production entry point: requests outside the bound
 // query, and memo groups in which no entry is estimable (e.g. a pool with
 // no usable statistics for any induced decomposition), come back as a
-// recoverable Status the optimizer can branch on. Estimate keeps the
-// historical abort-on-error contract as a thin wrapper.
+// recoverable Status the optimizer can branch on.
 
 #pragma once
 
@@ -41,9 +40,6 @@ class OptimizerCoupledEstimator {
   //    entry (no SIT or base statistic can approximate any of its induced
   //    decompositions).
   StatusOr<SelEstimate> TryEstimate(PredSet preds);
-
-  // Abort-on-error wrapper around TryEstimate.
-  SelEstimate Estimate(PredSet preds);
 
   const Memo& memo() const { return memo_; }
   uint64_t entries_considered() const { return entries_considered_; }

@@ -105,8 +105,7 @@ class Parser {
   Parser(const Catalog& catalog, const std::string& sql)
       : catalog_(catalog), lexer_(sql) {}
 
-  ParseResult Run() {
-    ParseResult result;
+  StatusOr<Query> Run() {
     if (!ExpectKeyword("SELECT")) return Fail();
     if (!ExpectKeyword("COUNT")) return Fail();
     if (!ExpectSymbol("(")) return Fail();
@@ -144,16 +143,12 @@ class Parser {
       }
     }
 
-    result.ok = true;
-    result.query = Query(std::move(predicates));
-    return result;
+    return Query(std::move(predicates));
   }
 
  private:
-  ParseResult Fail() {
-    ParseResult r;
-    r.error = error_.empty() ? "parse error" : error_;
-    return r;
+  Status Fail() const {
+    return Status::InvalidArgument(error_.empty() ? "parse error" : error_);
   }
 
   bool ExpectKeyword(const std::string& kw) {
@@ -326,7 +321,7 @@ class Parser {
 
 }  // namespace
 
-ParseResult ParseQuery(const Catalog& catalog, const std::string& sql) {
+StatusOr<Query> ParseQuery(const Catalog& catalog, const std::string& sql) {
   return Parser(catalog, sql).Run();
 }
 

@@ -14,25 +14,20 @@
 // its own conjunct. Open-ended comparisons use the column's declared
 // domain bounds for the missing endpoint.
 //
-// The parser reports errors by value (no exceptions), with a message
-// pointing at the offending token.
+// The parser reports errors by value (no exceptions): INVALID_ARGUMENT,
+// with a message pointing at the offending token.
 
 #pragma once
 
 #include <string>
 
 #include "condsel/catalog/catalog.h"
+#include "condsel/common/status.h"
 #include "condsel/query/query.h"
 
 namespace condsel {
 
-struct ParseResult {
-  bool ok = false;
-  Query query;
-  std::string error;  // set when !ok
-};
-
-ParseResult ParseQuery(const Catalog& catalog, const std::string& sql);
+StatusOr<Query> ParseQuery(const Catalog& catalog, const std::string& sql);
 
 }  // namespace condsel
 

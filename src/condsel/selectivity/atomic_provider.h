@@ -140,9 +140,6 @@ class AtomicSelectivityProvider {
                             const SitCandidate& cand,
                             FactorProvenance* provenance) const;
 
-  const ErrorFunction& error_fn() const { return *error_fn_; }
-  SitMatcher& matcher() { return *matcher_; }
-
  private:
   // Scoring core shared by Score and BaseAtom. BaseAtom scores through
   // here with no deadline and no throw hook: the independence fallback is

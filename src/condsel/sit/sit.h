@@ -27,12 +27,12 @@ using SitId = int32_t;
 // One part's contribution to a partitioned SIT: the same statistic
 // restricted to the rows of part `part` (at `generation`) of the owning
 // table — always attr.table, whose parts partition the expression result.
-// The piece histogram's source_cardinality carries its merge weight.
+// Pieces are unidimensional; the histogram's source_cardinality carries
+// its merge weight.
 struct SitPart {
   PartId part = kInvalidPartId;
   uint64_t generation = 0;
-  Histogram histogram;      // unidimensional pieces
-  Histogram2d histogram2d;  // multidimensional pieces
+  Histogram histogram;
 };
 
 struct Sit {
@@ -52,8 +52,9 @@ struct Sit {
   // consumer then reads the flat histogram exactly as before, which is
   // what keeps single-part databases bit-identical. When pieces are
   // present, `histogram` holds the cardinality-weighted merged summary
-  // (introspection and distinct-count math); selectivity estimation
-  // merges the pieces directly (AtomicSelectivityProvider).
+  // (introspection, and the estimate when every piece is empty);
+  // selectivity estimation merges the pieces directly
+  // (AtomicSelectivityProvider).
   std::vector<SitPart> parts;
   // For unidimensional SITs: the Section 3.5 divergence between the base
   // distribution of `attr` and its distribution on the expression result

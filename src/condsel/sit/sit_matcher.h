@@ -68,8 +68,7 @@ class SitMatcher {
   // Binds a query: precomputes, per attribute (and per attribute pair),
   // which pool SITs are applicable (their whole expression appears among
   // the query's predicates) and the corresponding predicate bitmask. Every
-  // column's SITs are indexed, not only the query's predicate columns:
-  // GROUP BY estimation (distinct.h) looks up columns no predicate names.
+  // column's SITs are indexed, not only the query's predicate columns.
   // The matcher is read-only after BindQuery returns, so estimators on
   // several threads may share one bound matcher.
   void BindQuery(const Query* query);

@@ -35,31 +35,33 @@ class ApiTest : public ::testing::Test {
 
 TEST_F(ApiTest, CardinalityMatchesManualWiring) {
   Estimator est(&catalog_, &pool_, Ranking::kDiff);
-  const double card = est.EstimateCardinality(query_);
+  const double card = est.TryEstimateCardinality(query_).value();
   // With the join SIT available, the estimate is exact here (7 rows).
   EXPECT_NEAR(card, eval_.Cardinality(query_, query_.all_predicates()),
               1e-6);
-  EXPECT_NEAR(est.EstimateSelectivity(query_), card / 80.0, 1e-12);
+  EXPECT_NEAR(est.TryEstimateSelectivity(query_).value(), card / 80.0,
+              1e-12);
 }
 
 TEST_F(ApiTest, SubsetMasksUseTheCallersIndexing) {
   Estimator est(&catalog_, &pool_, Ranking::kDiff);
   // Predicate 0 is the filter, predicate 1 the join — masks must honour
   // that ordering even across the session cache.
-  EXPECT_NEAR(est.EstimateSelectivity(query_, 0b01), 0.5, 1e-9);
-  EXPECT_NEAR(est.EstimateSelectivity(query_, 0b10), 0.125, 1e-9);
+  EXPECT_NEAR(est.TryEstimateSelectivity(query_, 0b01).value(), 0.5, 1e-9);
+  EXPECT_NEAR(est.TryEstimateSelectivity(query_, 0b10).value(), 0.125, 1e-9);
   // A query with the reverse predicate order gets its own session.
   const Query reversed({Predicate::Join(Rx(), Sy()),
                         Predicate::Filter(Ra(), 1, 5)});
-  EXPECT_NEAR(est.EstimateSelectivity(reversed, 0b01), 0.125, 1e-9);
+  EXPECT_NEAR(est.TryEstimateSelectivity(reversed, 0b01).value(), 0.125,
+              1e-9);
   EXPECT_EQ(est.cached_queries(), 2u);
 }
 
 TEST_F(ApiTest, SessionsAreReused) {
   Estimator est(&catalog_, &pool_);
-  est.EstimateSelectivity(query_);
-  est.EstimateSelectivity(query_, 0b01);
-  est.EstimateCardinality(query_, 0b10);
+  est.TryEstimateSelectivity(query_).value();
+  est.TryEstimateSelectivity(query_, 0b01).value();
+  est.TryEstimateCardinality(query_, 0b10).value();
   EXPECT_EQ(est.cached_queries(), 1u);
   est.ClearCache();
   EXPECT_EQ(est.cached_queries(), 0u);
@@ -67,7 +69,7 @@ TEST_F(ApiTest, SessionsAreReused) {
 
 TEST_F(ApiTest, ExplainIsHumanReadable) {
   Estimator est(&catalog_, &pool_);
-  const std::string why = est.Explain(query_);
+  const std::string why = est.TryExplain(query_).value();
   EXPECT_NE(why.find("Sel("), std::string::npos);
   EXPECT_NE(why.find("sit#"), std::string::npos);
 }
@@ -81,7 +83,7 @@ TEST_F(ApiTest, RankingSelectionTakesEffect) {
   Estimator diff_est(&catalog_, &pool, Ranking::kDiff);
   Estimator nind_est(&catalog_, &pool, Ranking::kNInd);
   for (Estimator* est : {&diff_est, &nind_est}) {
-    const double sel = est->EstimateSelectivity(q);
+    const double sel = est->TryEstimateSelectivity(q).value();
     EXPECT_GE(sel, 0.0);
     EXPECT_LE(sel, 1.0);
   }
@@ -95,11 +97,11 @@ TEST_F(ApiTest, OutlivesTemporaryCallerQueries) {
   {
     const Query temp({Predicate::Filter(Ra(), 1, 5),
                       Predicate::Join(Rx(), Sy())});
-    first = est.EstimateSelectivity(temp);
+    first = est.TryEstimateSelectivity(temp).value();
   }
   const Query again({Predicate::Filter(Ra(), 1, 5),
                      Predicate::Join(Rx(), Sy())});
-  EXPECT_DOUBLE_EQ(est.EstimateSelectivity(again), first);
+  EXPECT_DOUBLE_EQ(est.TryEstimateSelectivity(again).value(), first);
   EXPECT_EQ(est.cached_queries(), 1u);
 }
 

@@ -101,25 +101,6 @@ TEST_F(EvaluatorTest, AtomicDecompositionPropertyHoldsExactly) {
   }
 }
 
-TEST_F(EvaluatorTest, ProjectColumnBaseTable) {
-  const ColumnProjection proj =
-      eval_.ProjectColumn(Query(std::vector<Predicate>{}), 0, Sy());
-  EXPECT_EQ(proj.total_tuples, 8u);
-  EXPECT_EQ(proj.values.size(), 7u);  // one NULL excluded
-}
-
-TEST_F(EvaluatorTest, ProjectColumnOverJoin) {
-  const Query q({Predicate::Join(Rx(), Sy())});
-  const ColumnProjection proj = eval_.ProjectColumn(q, 1, Ra());
-  EXPECT_EQ(proj.total_tuples, 10u);  // join result size
-  EXPECT_EQ(proj.values.size(), 10u);
-  // Frequencies reflect join multiplicity: a=1 and a=2 (x=10) appear
-  // twice each.
-  int count_a1 = 0;
-  for (int64_t v : proj.values) count_a1 += (v == 1);
-  EXPECT_EQ(count_a1, 2);
-}
-
 TEST_F(EvaluatorTest, CardinalityCacheHits) {
   const Query q({Predicate::Filter(Ra(), 3, 8), Predicate::Join(Rx(), Sy())});
   cache_.ResetCounters();

@@ -138,7 +138,7 @@ TEST_F(CoupledTest, AgreesWithDpOnSinglePredicates) {
   AtomicSelectivityProvider fa2(&matcher_, &n_ind_);
   GetSelectivity gs(&query_, &fa2);
   for (int i = 0; i < query_.num_predicates(); ++i) {
-    EXPECT_NEAR(coupled.Estimate(1u << i).selectivity,
+    EXPECT_NEAR(coupled.TryEstimate(1u << i).value().selectivity,
                 gs.Compute(1u << i).selectivity, 1e-12);
   }
 }
@@ -153,7 +153,7 @@ TEST_F(CoupledTest, NeverBeatsFullDp) {
     AtomicSelectivityProvider fa2(&matcher_, &n_ind_);
     GetSelectivity gs(&query_, &fa2);
     const double coupled_err =
-        coupled.Estimate(query_.all_predicates()).error;
+        coupled.TryEstimate(query_.all_predicates()).value().error;
     const double dp_err = gs.Compute(query_.all_predicates()).error;
     EXPECT_GE(coupled_err, dp_err - 1e-12) << "J" << j;
   }
@@ -163,10 +163,10 @@ TEST_F(CoupledTest, MemoizesGroups) {
   BuildPool(1);
   AtomicSelectivityProvider fa(&matcher_, &n_ind_);
   OptimizerCoupledEstimator coupled(&query_, &fa);
-  coupled.Estimate(query_.all_predicates());
+  coupled.TryEstimate(query_.all_predicates()).value();
   const uint64_t entries = coupled.entries_considered();
   // Sub-plan requests are answered from the per-group cache.
-  coupled.Estimate(0b0011);
+  coupled.TryEstimate(0b0011).value();
   EXPECT_EQ(coupled.entries_considered(), entries);
 }
 
@@ -175,7 +175,7 @@ TEST_F(CoupledTest, EstimatesAreProbabilities) {
   AtomicSelectivityProvider fa(&matcher_, &n_ind_);
   OptimizerCoupledEstimator coupled(&query_, &fa);
   for (PredSet p = 1; p <= query_.all_predicates(); ++p) {
-    const double sel = coupled.Estimate(p).selectivity;
+    const double sel = coupled.TryEstimate(p).value().selectivity;
     EXPECT_GE(sel, 0.0);
     EXPECT_LE(sel, 1.0 + 1e-9);
   }
@@ -214,8 +214,9 @@ TEST_F(CoupledTest, TryEstimateMatchesEstimateOnSuccess) {
       coupled.TryEstimate(query_.all_predicates());
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value().selectivity,
-            coupled.Estimate(query_.all_predicates()).selectivity);
-  EXPECT_EQ(r.value().error, coupled.Estimate(query_.all_predicates()).error);
+            coupled.TryEstimate(query_.all_predicates()).value().selectivity);
+  EXPECT_EQ(r.value().error,
+            coupled.TryEstimate(query_.all_predicates()).value().error);
 }
 
 }  // namespace

@@ -17,125 +17,125 @@ class ParserTest : public ::testing::Test {
 };
 
 TEST_F(ParserTest, MinimalQuery) {
-  const ParseResult r =
+  const StatusOr<Query> r =
       ParseQuery(catalog_, "SELECT COUNT(*) FROM R");
-  ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(r.query.num_predicates(), 0);
+  ASSERT_TRUE(r.ok()) << r.status().message();
+  EXPECT_EQ(r.value().num_predicates(), 0);
 }
 
 TEST_F(ParserTest, JoinAndFilters) {
-  const ParseResult r = ParseQuery(
+  const StatusOr<Query> r = ParseQuery(
       catalog_,
       "SELECT COUNT(*) FROM R, S WHERE R.x = S.y AND R.a BETWEEN 2 AND 6 "
       "AND S.b >= 100");
-  ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(r.query.num_predicates(), 3);
-  EXPECT_EQ(SetSize(r.query.join_predicates()), 1);
-  EXPECT_EQ(SetSize(r.query.filter_predicates()), 2);
+  ASSERT_TRUE(r.ok()) << r.status().message();
+  EXPECT_EQ(r.value().num_predicates(), 3);
+  EXPECT_EQ(SetSize(r.value().join_predicates()), 1);
+  EXPECT_EQ(SetSize(r.value().filter_predicates()), 2);
 }
 
 TEST_F(ParserTest, CaseInsensitiveKeywords) {
-  const ParseResult r = ParseQuery(
+  const StatusOr<Query> r = ParseQuery(
       catalog_, "select count(*) from R where R.a between 1 and 3");
-  ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(r.query.num_predicates(), 1);
+  ASSERT_TRUE(r.ok()) << r.status().message();
+  EXPECT_EQ(r.value().num_predicates(), 1);
 }
 
 TEST_F(ParserTest, ComparisonOperators) {
-  const ParseResult r = ParseQuery(
+  const StatusOr<Query> r = ParseQuery(
       catalog_,
       "SELECT COUNT(*) FROM R WHERE R.a < 5 AND R.a > 1 AND R.x <= 30 "
       "AND R.x >= 10 AND R.a = 3");
-  ASSERT_TRUE(r.ok) << r.error;
-  ASSERT_EQ(r.query.num_predicates(), 5);
+  ASSERT_TRUE(r.ok()) << r.status().message();
+  ASSERT_EQ(r.value().num_predicates(), 5);
   // "< 5" becomes [min, 4].
-  EXPECT_EQ(r.query.predicate(0).hi(), 4);
+  EXPECT_EQ(r.value().predicate(0).hi(), 4);
   // "> 1" becomes [2, max].
-  EXPECT_EQ(r.query.predicate(1).lo(), 2);
+  EXPECT_EQ(r.value().predicate(1).lo(), 2);
   // "= 3" is a degenerate range.
-  EXPECT_EQ(r.query.predicate(4).lo(), 3);
-  EXPECT_EQ(r.query.predicate(4).hi(), 3);
+  EXPECT_EQ(r.value().predicate(4).lo(), 3);
+  EXPECT_EQ(r.value().predicate(4).hi(), 3);
 }
 
 TEST_F(ParserTest, JoinCanonicalizedLikeApi) {
-  const ParseResult a =
+  const StatusOr<Query> a =
       ParseQuery(catalog_, "SELECT COUNT(*) FROM R, S WHERE R.x = S.y");
-  const ParseResult b =
+  const StatusOr<Query> b =
       ParseQuery(catalog_, "SELECT COUNT(*) FROM S, R WHERE S.y = R.x");
-  ASSERT_TRUE(a.ok && b.ok);
-  EXPECT_EQ(a.query.predicate(0), b.query.predicate(0));
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(a.value().predicate(0), b.value().predicate(0));
 }
 
 TEST_F(ParserTest, ErrorUnknownTable) {
-  const ParseResult r =
+  const StatusOr<Query> r =
       ParseQuery(catalog_, "SELECT COUNT(*) FROM nope");
-  EXPECT_FALSE(r.ok);
-  EXPECT_NE(r.error.find("nope"), std::string::npos);
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("nope"), std::string::npos);
 }
 
 TEST_F(ParserTest, ErrorUnknownColumn) {
-  const ParseResult r = ParseQuery(
+  const StatusOr<Query> r = ParseQuery(
       catalog_, "SELECT COUNT(*) FROM R WHERE R.nope = 3");
-  EXPECT_FALSE(r.ok);
-  EXPECT_NE(r.error.find("R.nope"), std::string::npos);
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("R.nope"), std::string::npos);
 }
 
 TEST_F(ParserTest, ErrorTableNotInFrom) {
-  const ParseResult r = ParseQuery(
+  const StatusOr<Query> r = ParseQuery(
       catalog_, "SELECT COUNT(*) FROM R WHERE S.b = 100");
-  EXPECT_FALSE(r.ok);
-  EXPECT_NE(r.error.find("FROM"), std::string::npos);
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("FROM"), std::string::npos);
 }
 
 TEST_F(ParserTest, ErrorSelfJoinListedTwice) {
-  const ParseResult r =
+  const StatusOr<Query> r =
       ParseQuery(catalog_, "SELECT COUNT(*) FROM R, R");
-  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(ParserTest, ErrorTrailingGarbage) {
-  const ParseResult r = ParseQuery(
+  const StatusOr<Query> r = ParseQuery(
       catalog_, "SELECT COUNT(*) FROM R WHERE R.a = 1 GROUP BY R.a");
-  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(ParserTest, ErrorEmptyRange) {
   // R.a's declared domain starts at 0; "< 0" can never hold.
-  const ParseResult r =
+  const StatusOr<Query> r =
       ParseQuery(catalog_, "SELECT COUNT(*) FROM R WHERE R.a < 0");
-  EXPECT_FALSE(r.ok);
-  EXPECT_NE(r.error.find("selects nothing"), std::string::npos);
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("selects nothing"), std::string::npos);
 }
 
 TEST_F(ParserTest, ErrorBetweenOutOfOrder) {
-  const ParseResult r = ParseQuery(
+  const StatusOr<Query> r = ParseQuery(
       catalog_, "SELECT COUNT(*) FROM R WHERE R.a BETWEEN 9 AND 2");
-  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(ParserTest, ErrorSameTableEquality) {
-  const ParseResult r = ParseQuery(
+  const StatusOr<Query> r = ParseQuery(
       catalog_, "SELECT COUNT(*) FROM R WHERE R.a = R.x");
-  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(ParserTest, NegativeNumbers) {
-  const ParseResult r = ParseQuery(
+  const StatusOr<Query> r = ParseQuery(
       catalog_, "SELECT COUNT(*) FROM R WHERE R.a BETWEEN -5 AND 3");
-  ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(r.query.predicate(0).lo(), -5);
+  ASSERT_TRUE(r.ok()) << r.status().message();
+  EXPECT_EQ(r.value().predicate(0).lo(), -5);
 }
 
 TEST_F(ParserTest, ParsedQueryEvaluatesCorrectly) {
   // End to end: parse, evaluate, compare with a hand-built query.
-  const ParseResult r = ParseQuery(
+  const StatusOr<Query> r = ParseQuery(
       catalog_,
       "SELECT COUNT(*) FROM R, S WHERE R.x = S.y AND R.a <= 5");
-  ASSERT_TRUE(r.ok) << r.error;
+  ASSERT_TRUE(r.ok()) << r.status().message();
   CardinalityCache cache;
   Evaluator eval(&catalog_, &cache);
   const double parsed =
-      eval.Cardinality(r.query, r.query.all_predicates());
+      eval.Cardinality(r.value(), r.value().all_predicates());
   const Query manual({Predicate::Join({0, 1}, {1, 0}),
                       Predicate::Filter({0, 0}, 0, 5)});
   EXPECT_DOUBLE_EQ(parsed,
@@ -144,7 +144,8 @@ TEST_F(ParserTest, ParsedQueryEvaluatesCorrectly) {
 
 TEST_F(ParserTest, HardeningCorpusAlwaysCleanError) {
   // Adversarial inputs collected from the robustness pass: every one must
-  // produce ok=false with a non-empty error — never a crash, hang, or UB.
+  // produce an error with a non-empty message — never a crash, hang, or
+  // UB.
   const std::vector<std::string> corpus = {
       "",
       " ",
@@ -182,37 +183,37 @@ TEST_F(ParserTest, HardeningCorpusAlwaysCleanError) {
       "select count ( * ) from",
   };
   for (const std::string& sql : corpus) {
-    const ParseResult r = ParseQuery(catalog_, sql);
-    EXPECT_FALSE(r.ok) << "accepted: " << sql;
-    EXPECT_FALSE(r.error.empty()) << sql;
+    const StatusOr<Query> r = ParseQuery(catalog_, sql);
+    EXPECT_FALSE(r.ok()) << "accepted: " << sql;
+    EXPECT_FALSE(r.status().message().empty()) << sql;
   }
 }
 
 TEST_F(ParserTest, GiantLiteralIsRangeError) {
   // Out-of-int64 literals used to hit std::atoll's undefined overflow;
   // they must now surface as an explicit range error.
-  const ParseResult r = ParseQuery(
+  const StatusOr<Query> r = ParseQuery(
       catalog_,
       "SELECT COUNT(*) FROM R WHERE R.a = 123456789012345678901234567890");
-  ASSERT_FALSE(r.ok);
-  EXPECT_NE(r.error.find("out of range"), std::string::npos);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("out of range"), std::string::npos);
 }
 
 TEST_F(ParserTest, Int64ExtremesDoNotOverflow) {
   // "< INT64_MIN" / "> INT64_MAX" would need v∓1 outside int64; both are
   // rejected as empty predicates instead of overflowing.
-  const ParseResult lo = ParseQuery(
+  const StatusOr<Query> lo = ParseQuery(
       catalog_,
       "SELECT COUNT(*) FROM R WHERE R.a < -9223372036854775808");
-  EXPECT_FALSE(lo.ok);
-  const ParseResult hi = ParseQuery(
+  EXPECT_FALSE(lo.ok());
+  const StatusOr<Query> hi = ParseQuery(
       catalog_,
       "SELECT COUNT(*) FROM R WHERE R.a > 9223372036854775807");
-  EXPECT_FALSE(hi.ok);
+  EXPECT_FALSE(hi.ok());
   // Ordinary strict comparisons keep working.
-  const ParseResult in = ParseQuery(
+  const StatusOr<Query> in = ParseQuery(
       catalog_, "SELECT COUNT(*) FROM R WHERE R.a < 1000");
-  EXPECT_TRUE(in.ok) << in.error;
+  EXPECT_TRUE(in.ok()) << in.status().message();
 }
 
 TEST_F(ParserTest, FuzzedInputsNeverCrash) {
@@ -230,9 +231,9 @@ TEST_F(ParserTest, FuzzedInputsNeverCrash) {
       sql += tokens[static_cast<size_t>(rng.NextBelow(tokens.size()))];
       if (rng.NextBool(0.7)) sql += " ";
     }
-    const ParseResult r = ParseQuery(catalog_, sql);
-    if (!r.ok) {
-      EXPECT_FALSE(r.error.empty()) << sql;
+    const StatusOr<Query> r = ParseQuery(catalog_, sql);
+    if (!r.ok()) {
+      EXPECT_FALSE(r.status().message().empty()) << sql;
     }
   }
 }
@@ -260,7 +261,7 @@ TEST_F(ParserTest, MutatedValidQueryNeverCrashes) {
       }
       if (sql.empty()) sql = " ";
     }
-    ParseQuery(catalog_, sql);  // must not crash or hang
+    StatusIgnored(ParseQuery(catalog_, sql));  // must not crash or hang
   }
 }
 

@@ -132,7 +132,8 @@ TEST(PartStatsMergeTest, SinglePartPoolIsBitIdenticalToUnpartitioned) {
   SitPool merged_copy = *merged.value();
   Estimator a(&catalog, &merged_copy);
   Estimator b(&catalog, &reference);
-  EXPECT_EQ(a.EstimateSelectivity(q), b.EstimateSelectivity(q));
+  EXPECT_EQ(a.TryEstimateSelectivity(q).value(),
+            b.TryEstimateSelectivity(q).value());
 }
 
 TEST(PartStatsMergeTest, PiecesConserveMassAndMatchFlatEstimates) {
@@ -176,10 +177,11 @@ TEST(PartStatsMergeTest, PiecesConserveMassAndMatchFlatEstimates) {
   SitPool merged_copy = *merged.value();
   Estimator a(&parted, &merged_copy);
   Estimator b(&flat, &reference);
-  EXPECT_NEAR(a.EstimateSelectivity(q), b.EstimateSelectivity(q), 1e-9);
+  EXPECT_NEAR(a.TryEstimateSelectivity(q).value(),
+              b.TryEstimateSelectivity(q).value(), 1e-9);
   for (PredSet p = 1; p < (1u << 2); ++p) {
-    EXPECT_NEAR(a.EstimateSelectivity(q, p), b.EstimateSelectivity(q, p),
-                1e-9)
+    EXPECT_NEAR(a.TryEstimateSelectivity(q, p).value(),
+                b.TryEstimateSelectivity(q, p).value(), 1e-9)
         << "subset " << p;
   }
 }

@@ -38,11 +38,11 @@ class SerializeTest : public ::testing::Test {
 
 TEST_F(SerializeTest, CatalogRoundTrip) {
   const std::string path = TempPath("catalog.bin");
-  ASSERT_TRUE(WriteCatalog(catalog_, path).ok);
+  ASSERT_TRUE(WriteCatalog(catalog_, path).ok());
 
   Catalog loaded;
-  const IoResult r = ReadCatalog(path, &loaded);
-  ASSERT_TRUE(r.ok) << r.error;
+  const Status r = ReadCatalog(path, &loaded);
+  ASSERT_TRUE(r.ok()) << r.message();
   ASSERT_EQ(loaded.num_tables(), catalog_.num_tables());
   for (TableId t = 0; t < catalog_.num_tables(); ++t) {
     const Table& a = catalog_.table(t);
@@ -63,9 +63,9 @@ TEST_F(SerializeTest, CatalogRoundTrip) {
 
 TEST_F(SerializeTest, LoadedCatalogEvaluatesIdentically) {
   const std::string path = TempPath("catalog2.bin");
-  ASSERT_TRUE(WriteCatalog(catalog_, path).ok);
+  ASSERT_TRUE(WriteCatalog(catalog_, path).ok());
   Catalog loaded;
-  ASSERT_TRUE(ReadCatalog(path, &loaded).ok);
+  ASSERT_TRUE(ReadCatalog(path, &loaded).ok());
 
   const Query q({Predicate::Join({0, 1}, {1, 0}),
                  Predicate::Filter({0, 0}, 2, 7)});
@@ -82,11 +82,11 @@ TEST_F(SerializeTest, SitPoolRoundTrip) {
   pool.Add(builder_.Build2d({0, 0}, {0, 1}, {}));
 
   const std::string path = TempPath("pool.bin");
-  ASSERT_TRUE(WriteSitPool(pool, path).ok);
+  ASSERT_TRUE(WriteSitPool(pool, path).ok());
 
   SitPool loaded;
-  const IoResult r = ReadSitPool(path, catalog_, &loaded);
-  ASSERT_TRUE(r.ok) << r.error;
+  const Status r = ReadSitPool(path, catalog_, &loaded);
+  ASSERT_TRUE(r.ok()) << r.message();
   ASSERT_EQ(loaded.size(), pool.size());
   for (SitId i = 0; i < pool.size(); ++i) {
     const Sit& a = pool.sit(i);
@@ -129,10 +129,11 @@ TEST_F(SerializeTest, WriteSitPoolRejectsPartitionedSits) {
   ASSERT_TRUE(std::any_of(sits.begin(), sits.end(),
                           [](const Sit& s) { return s.is_partitioned(); }));
 
-  const IoResult r =
+  const Status r =
       WriteSitPool(*merged.value(), TempPath("partitioned_pool.bin"));
-  ASSERT_FALSE(r.ok);
-  EXPECT_NE(r.error.find("WritePartStats"), std::string::npos) << r.error;
+  ASSERT_EQ(r.code(), StatusCode::kDataLoss);
+  EXPECT_NE(r.message().find("WritePartStats"), std::string::npos)
+      << r.message();
 }
 
 TEST_F(SerializeTest, RejectsWrongMagic) {
@@ -143,25 +144,25 @@ TEST_F(SerializeTest, RejectsWrongMagic) {
   std::fclose(f);
 
   Catalog c;
-  EXPECT_FALSE(ReadCatalog(path, &c).ok);
+  EXPECT_EQ(ReadCatalog(path, &c).code(), StatusCode::kDataLoss);
   SitPool p;
-  EXPECT_FALSE(ReadSitPool(path, catalog_, &p).ok);
+  EXPECT_EQ(ReadSitPool(path, catalog_, &p).code(), StatusCode::kDataLoss);
 }
 
 TEST_F(SerializeTest, RejectsCatalogAsPool) {
   const std::string path = TempPath("catalog3.bin");
-  ASSERT_TRUE(WriteCatalog(catalog_, path).ok);
+  ASSERT_TRUE(WriteCatalog(catalog_, path).ok());
   SitPool p;
-  const IoResult r = ReadSitPool(path, catalog_, &p);
-  EXPECT_FALSE(r.ok);
-  EXPECT_NE(r.error.find("not a condsel SIT pool"), std::string::npos);
+  const Status r = ReadSitPool(path, catalog_, &p);
+  EXPECT_FALSE(r.ok());
+  EXPECT_NE(r.message().find("not a condsel SIT pool"), std::string::npos);
 }
 
 TEST_F(SerializeTest, RejectsTruncatedFile) {
   SitPool pool;
   pool.Add(builder_.Build({0, 0}, {}));
   const std::string path = TempPath("pool_trunc.bin");
-  ASSERT_TRUE(WriteSitPool(pool, path).ok);
+  ASSERT_TRUE(WriteSitPool(pool, path).ok());
   // Truncate to half.
   std::FILE* f = std::fopen(path.c_str(), "rb");
   std::fseek(f, 0, SEEK_END);
@@ -170,7 +171,7 @@ TEST_F(SerializeTest, RejectsTruncatedFile) {
   ASSERT_EQ(truncate(path.c_str(), size / 2), 0);
 
   SitPool p;
-  EXPECT_FALSE(ReadSitPool(path, catalog_, &p).ok);
+  EXPECT_EQ(ReadSitPool(path, catalog_, &p).code(), StatusCode::kDataLoss);
 }
 
 TEST_F(SerializeTest, RejectsPoolAgainstWrongCatalog) {
@@ -178,20 +179,20 @@ TEST_F(SerializeTest, RejectsPoolAgainstWrongCatalog) {
   SitPool pool;
   pool.Add(builder_.Build({2, 1}, {}));
   const std::string path = TempPath("pool_wrongcat.bin");
-  ASSERT_TRUE(WriteSitPool(pool, path).ok);
+  ASSERT_TRUE(WriteSitPool(pool, path).ok());
 
   Catalog tiny;
   tiny.AddTable(test::MakeTable("only", {"c"}, {{1}}));
   SitPool p;
-  const IoResult r = ReadSitPool(path, tiny, &p);
-  EXPECT_FALSE(r.ok);
-  EXPECT_NE(r.error.find("does not exist"), std::string::npos);
+  const Status r = ReadSitPool(path, tiny, &p);
+  EXPECT_EQ(r.code(), StatusCode::kDataLoss);
+  EXPECT_NE(r.message().find("does not exist"), std::string::npos);
 }
 
 TEST_F(SerializeTest, MissingFileFailsGracefully) {
   Catalog c;
-  const IoResult r = ReadCatalog(TempPath("does_not_exist.bin"), &c);
-  EXPECT_FALSE(r.ok);
+  const Status r = ReadCatalog(TempPath("does_not_exist.bin"), &c);
+  EXPECT_EQ(r.code(), StatusCode::kDataLoss);
 }
 
 namespace {
@@ -221,29 +222,29 @@ void WriteAll(const std::string& path,
 }  // namespace
 
 TEST_F(SerializeTest, TruncationAtEveryOffsetFailsCleanly) {
-  // Cutting the file at any byte must yield a clean IoResult failure —
+  // Cutting the file at any byte must yield a clean Status failure —
   // never an abort, a crash, or a silently short catalog/pool.
   const std::string cat_path = TempPath("cat_full.bin");
-  ASSERT_TRUE(WriteCatalog(catalog_, cat_path).ok);
+  ASSERT_TRUE(WriteCatalog(catalog_, cat_path).ok());
   const std::vector<unsigned char> cat_bytes = ReadAll(cat_path);
 
   SitPool pool;
   pool.Add(builder_.Build({0, 0}, {}));
   pool.Add(builder_.Build2d({0, 0}, {0, 1}, {}));
   const std::string pool_path = TempPath("pool_full.bin");
-  ASSERT_TRUE(WriteSitPool(pool, pool_path).ok);
+  ASSERT_TRUE(WriteSitPool(pool, pool_path).ok());
   const std::vector<unsigned char> pool_bytes = ReadAll(pool_path);
 
   const std::string cut = TempPath("cut.bin");
   for (size_t n = 0; n < cat_bytes.size(); ++n) {
     WriteAll(cut, {cat_bytes.begin(), cat_bytes.begin() + n});
     Catalog c;
-    EXPECT_FALSE(ReadCatalog(cut, &c).ok) << "truncated at " << n;
+    EXPECT_FALSE(ReadCatalog(cut, &c).ok()) << "truncated at " << n;
   }
   for (size_t n = 0; n < pool_bytes.size(); ++n) {
     WriteAll(cut, {pool_bytes.begin(), pool_bytes.begin() + n});
     SitPool p;
-    EXPECT_FALSE(ReadSitPool(cut, catalog_, &p).ok) << "truncated at " << n;
+    EXPECT_FALSE(ReadSitPool(cut, catalog_, &p).ok()) << "truncated at " << n;
   }
 }
 
@@ -255,7 +256,7 @@ TEST_F(SerializeTest, FlippedBytesNeverCrash) {
   pool.Add(builder_.Build({0, 0}, {}));
   pool.Add(builder_.Build({0, 0}, {Predicate::Join({0, 1}, {1, 0})}));
   const std::string path = TempPath("pool_flip.bin");
-  ASSERT_TRUE(WriteSitPool(pool, path).ok);
+  ASSERT_TRUE(WriteSitPool(pool, path).ok());
   const std::vector<unsigned char> bytes = ReadAll(path);
 
   const std::string flipped = TempPath("flipped.bin");
@@ -264,11 +265,11 @@ TEST_F(SerializeTest, FlippedBytesNeverCrash) {
     mutated[i] ^= 0xFF;
     WriteAll(flipped, mutated);
     SitPool p;
-    const IoResult r = ReadSitPool(flipped, catalog_, &p);
-    if (r.ok) {
+    const Status r = ReadSitPool(flipped, catalog_, &p);
+    if (r.ok()) {
       EXPECT_LE(p.size(), pool.size() + 1) << "byte " << i;
     } else {
-      EXPECT_FALSE(r.error.empty()) << "byte " << i;
+      EXPECT_FALSE(r.message().empty()) << "byte " << i;
     }
   }
 }
@@ -278,7 +279,7 @@ TEST_F(SerializeTest, FlippedCatalogBytesNeverCrash) {
   // foreign-key table-id validation (formerly a CHECK-abort in
   // Catalog::AddForeignKey on out-of-range ids).
   const std::string path = TempPath("cat_flip.bin");
-  ASSERT_TRUE(WriteCatalog(catalog_, path).ok);
+  ASSERT_TRUE(WriteCatalog(catalog_, path).ok());
   const std::vector<unsigned char> bytes = ReadAll(path);
   const std::string flipped = TempPath("cat_flipped.bin");
   for (size_t i = 0; i < bytes.size(); ++i) {
@@ -286,23 +287,23 @@ TEST_F(SerializeTest, FlippedCatalogBytesNeverCrash) {
     mutated[i] ^= 0xFF;
     WriteAll(flipped, mutated);
     Catalog c;
-    const IoResult r = ReadCatalog(flipped, &c);
-    if (!r.ok) {
-      EXPECT_FALSE(r.error.empty()) << "byte " << i;
+    const Status r = ReadCatalog(flipped, &c);
+    if (!r.ok()) {
+      EXPECT_FALSE(r.message().empty()) << "byte " << i;
     }
   }
 }
 
 TEST_F(SerializeTest, RejectsFlippedVersion) {
   const std::string path = TempPath("cat_ver.bin");
-  ASSERT_TRUE(WriteCatalog(catalog_, path).ok);
+  ASSERT_TRUE(WriteCatalog(catalog_, path).ok());
   std::vector<unsigned char> bytes = ReadAll(path);
   bytes[4] ^= 0xFF;  // version lives right after the 4-byte magic
   WriteAll(path, bytes);
   Catalog c;
-  const IoResult r = ReadCatalog(path, &c);
-  ASSERT_FALSE(r.ok);
-  EXPECT_NE(r.error.find("version"), std::string::npos);
+  const Status r = ReadCatalog(path, &c);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.message().find("version"), std::string::npos);
 }
 
 TEST_F(SerializeTest, RejectsOutOfRangeCounts) {
@@ -310,7 +311,7 @@ TEST_F(SerializeTest, RejectsOutOfRangeCounts) {
   // reject it against the actual file size instead of looping or
   // allocating.
   const std::string path = TempPath("cat_counts.bin");
-  ASSERT_TRUE(WriteCatalog(catalog_, path).ok);
+  ASSERT_TRUE(WriteCatalog(catalog_, path).ok());
   std::vector<unsigned char> bytes = ReadAll(path);
   std::vector<unsigned char> patched = bytes;
   patched[8] = 0xFF;
@@ -319,7 +320,7 @@ TEST_F(SerializeTest, RejectsOutOfRangeCounts) {
   patched[11] = 0x7F;
   WriteAll(path, patched);
   Catalog c;
-  EXPECT_FALSE(ReadCatalog(path, &c).ok);
+  EXPECT_FALSE(ReadCatalog(path, &c).ok());
 
   // Patch the first table's first column-vector length similarly: the
   // element count must be validated against the remaining bytes before
@@ -327,7 +328,7 @@ TEST_F(SerializeTest, RejectsOutOfRangeCounts) {
   SitPool pool;
   pool.Add(builder_.Build({0, 0}, {}));
   const std::string pool_path = TempPath("pool_counts.bin");
-  ASSERT_TRUE(WriteSitPool(pool, pool_path).ok);
+  ASSERT_TRUE(WriteSitPool(pool, pool_path).ok());
   std::vector<unsigned char> pb = ReadAll(pool_path);
   // Bucket count is a u64 at offset 12 (magic, version, sit count) + 12
   // (attr, multidim flag) + 4 (expression size) + 8 (diff) + 8 (card).
@@ -336,9 +337,9 @@ TEST_F(SerializeTest, RejectsOutOfRangeCounts) {
   for (int b = 0; b < 8; ++b) pb[bucket_count_at + b] = 0x22;
   WriteAll(pool_path, pb);
   SitPool p;
-  const IoResult r = ReadSitPool(pool_path, catalog_, &p);
-  ASSERT_FALSE(r.ok);
-  EXPECT_NE(r.error.find("histogram"), std::string::npos);
+  const Status r = ReadSitPool(pool_path, catalog_, &p);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.message().find("histogram"), std::string::npos);
 }
 
 TEST_F(SerializeTest, RejectsMismatchedColumnLengths) {
@@ -350,7 +351,7 @@ TEST_F(SerializeTest, RejectsMismatchedColumnLengths) {
   Catalog one;
   one.AddTable(test::MakeTable("U", {"p", "q"}, {{1, 2}, {3, 4}}));
   const std::string path = TempPath("cat_mismatch.bin");
-  ASSERT_TRUE(WriteCatalog(one, path).ok);
+  ASSERT_TRUE(WriteCatalog(one, path).ok());
   std::vector<unsigned char> bytes = ReadAll(path);
   // Find the first column vector: it serializes as u64 length 2 followed
   // by int64 values 1, 3. Patch the length to 1 and delete 8 value bytes.
@@ -364,9 +365,9 @@ TEST_F(SerializeTest, RejectsMismatchedColumnLengths) {
   bytes.erase(it + 8, it + 16);  // drop the first value's bytes
   WriteAll(path, bytes);
   Catalog c;
-  const IoResult r = ReadCatalog(path, &c);
-  ASSERT_FALSE(r.ok);
-  EXPECT_NE(r.error.find("column lengths disagree"), std::string::npos);
+  const Status r = ReadCatalog(path, &c);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.message().find("column lengths disagree"), std::string::npos);
 }
 
 TEST_F(SerializeTest, RejectsNaNHistogramPayload) {
@@ -375,7 +376,7 @@ TEST_F(SerializeTest, RejectsNaNHistogramPayload) {
   SitPool pool;
   pool.Add(builder_.Build({0, 0}, {}));
   const std::string path = TempPath("pool_nan.bin");
-  ASSERT_TRUE(WriteSitPool(pool, path).ok);
+  ASSERT_TRUE(WriteSitPool(pool, path).ok());
   std::vector<unsigned char> bytes = ReadAll(path);
   // First bucket layout: lo i64, hi i64, frequency f64, distinct f64,
   // starting right after the u64 bucket count (see RejectsOutOfRangeCounts
@@ -386,9 +387,9 @@ TEST_F(SerializeTest, RejectsNaNHistogramPayload) {
   std::memcpy(&bytes[freq_at], &nan, sizeof(nan));
   WriteAll(path, bytes);
   SitPool p;
-  const IoResult r = ReadSitPool(path, catalog_, &p);
-  ASSERT_FALSE(r.ok);
-  EXPECT_NE(r.error.find("histogram"), std::string::npos);
+  const Status r = ReadSitPool(path, catalog_, &p);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.message().find("histogram"), std::string::npos);
 }
 
 class PartStatsSerializeTest : public SerializeTest {
@@ -416,10 +417,10 @@ class PartStatsSerializeTest : public SerializeTest {
 
 TEST_F(PartStatsSerializeTest, RoundTrip) {
   const std::string path = TempPath("part_stats.bin");
-  ASSERT_TRUE(WritePartStats(maintainer_.stats(), path).ok);
+  ASSERT_TRUE(WritePartStats(maintainer_.stats(), path).ok());
   PartStatsSet loaded;
-  const IoResult r = ReadPartStats(path, catalog_, &loaded);
-  ASSERT_TRUE(r.ok) << r.error;
+  const Status r = ReadPartStats(path, catalog_, &loaded);
+  ASSERT_TRUE(r.ok()) << r.message();
 
   EXPECT_EQ(loaded.specs(), maintainer_.stats().specs());
   ASSERT_EQ(loaded.entries().size(), maintainer_.stats().entries().size());
@@ -447,15 +448,15 @@ TEST_F(PartStatsSerializeTest, RoundTrip) {
 
 TEST_F(PartStatsSerializeTest, TruncationAtEveryOffsetFailsCleanly) {
   const std::string path = TempPath("part_stats_full.bin");
-  ASSERT_TRUE(WritePartStats(maintainer_.stats(), path).ok);
+  ASSERT_TRUE(WritePartStats(maintainer_.stats(), path).ok());
   const std::vector<unsigned char> bytes = ReadAll(path);
   const std::string cut = TempPath("part_stats_cut.bin");
   for (size_t n = 0; n < bytes.size(); ++n) {
     WriteAll(cut, {bytes.begin(), bytes.begin() + n});
     PartStatsSet s;
-    const IoResult r = ReadPartStats(cut, catalog_, &s);
-    EXPECT_FALSE(r.ok) << "truncated at " << n;
-    EXPECT_FALSE(r.error.empty()) << "truncated at " << n;
+    const Status r = ReadPartStats(cut, catalog_, &s);
+    EXPECT_FALSE(r.ok()) << "truncated at " << n;
+    EXPECT_FALSE(r.message().empty()) << "truncated at " << n;
   }
 }
 
@@ -464,7 +465,7 @@ TEST_F(PartStatsSerializeTest, RejectsNaNPieceCardinality) {
   // CHECKs frequencies), so the reader must reject it by value — this is
   // the serialized twin of the kCorruptPartStats fault.
   const std::string path = TempPath("part_stats_nan.bin");
-  ASSERT_TRUE(WritePartStats(maintainer_.stats(), path).ok);
+  ASSERT_TRUE(WritePartStats(maintainer_.stats(), path).ok());
   std::vector<unsigned char> bytes = ReadAll(path);
   ASSERT_LT(kFirstPieceCardinalityAt + 8, bytes.size());
   // Guard the offset arithmetic: both fields should read 10.0 (R has 10
@@ -479,20 +480,20 @@ TEST_F(PartStatsSerializeTest, RejectsNaNPieceCardinality) {
   std::memcpy(&bytes[kFirstPieceCardinalityAt], &nan, sizeof(nan));
   WriteAll(path, bytes);
   PartStatsSet s;
-  const IoResult r = ReadPartStats(path, catalog_, &s);
-  ASSERT_FALSE(r.ok);
-  EXPECT_NE(r.error.find("cardinality"), std::string::npos) << r.error;
+  const Status r = ReadPartStats(path, catalog_, &s);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.message().find("cardinality"), std::string::npos) << r.message();
 
   // A NaN row count is rejected the same way.
   bytes = ReadAll(TempPath("part_stats_nan.bin"));
   std::memcpy(&bytes[kFirstEntryRowsAt], &nan, sizeof(nan));
   WriteAll(path, bytes);
-  EXPECT_FALSE(ReadPartStats(path, catalog_, &s).ok);
+  EXPECT_FALSE(ReadPartStats(path, catalog_, &s).ok());
 }
 
 TEST_F(PartStatsSerializeTest, RejectsMisalignedPieceVector) {
   const std::string path = TempPath("part_stats_misaligned.bin");
-  ASSERT_TRUE(WritePartStats(maintainer_.stats(), path).ok);
+  ASSERT_TRUE(WritePartStats(maintainer_.stats(), path).ok());
   std::vector<unsigned char> bytes = ReadAll(path);
   // R owns three specs; claim two so the vector no longer aligns with
   // SpecsOwnedBy.
@@ -500,9 +501,9 @@ TEST_F(PartStatsSerializeTest, RejectsMisalignedPieceVector) {
   bytes[kFirstPieceCountAt] = 2;
   WriteAll(path, bytes);
   PartStatsSet s;
-  const IoResult r = ReadPartStats(path, catalog_, &s);
-  ASSERT_FALSE(r.ok);
-  EXPECT_NE(r.error.find("disagree"), std::string::npos) << r.error;
+  const Status r = ReadPartStats(path, catalog_, &s);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.message().find("disagree"), std::string::npos) << r.message();
 }
 
 TEST_F(PartStatsSerializeTest, RejectsStaleGenerationAfterDelta) {
@@ -510,12 +511,12 @@ TEST_F(PartStatsSerializeTest, RejectsStaleGenerationAfterDelta) {
   // mutated catalog: the rewritten part carries a newer generation than
   // the entry's stamp.
   const std::string path = TempPath("part_stats_stale.bin");
-  ASSERT_TRUE(WritePartStats(maintainer_.stats(), path).ok);
+  ASSERT_TRUE(WritePartStats(maintainer_.stats(), path).ok());
   catalog_.mutable_table(0).DeleteRows({0});
   PartStatsSet s;
-  const IoResult r = ReadPartStats(path, catalog_, &s);
-  ASSERT_FALSE(r.ok);
-  EXPECT_NE(r.error.find("stale"), std::string::npos) << r.error;
+  const Status r = ReadPartStats(path, catalog_, &s);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.message().find("stale"), std::string::npos) << r.message();
 }
 
 TEST_F(PartStatsSerializeTest, FlippedBytesNeverCrash) {
@@ -523,7 +524,7 @@ TEST_F(PartStatsSerializeTest, FlippedBytesNeverCrash) {
   // don't-care, but anything accepted must satisfy the same invariants
   // the fuzz harness enforces.
   const std::string path = TempPath("part_stats_flip_base.bin");
-  ASSERT_TRUE(WritePartStats(maintainer_.stats(), path).ok);
+  ASSERT_TRUE(WritePartStats(maintainer_.stats(), path).ok());
   const std::vector<unsigned char> bytes = ReadAll(path);
   const std::string flipped = TempPath("part_stats_flipped.bin");
   for (size_t i = 0; i < bytes.size(); ++i) {
@@ -531,9 +532,9 @@ TEST_F(PartStatsSerializeTest, FlippedBytesNeverCrash) {
     mutated[i] ^= 0xFF;
     WriteAll(flipped, mutated);
     PartStatsSet s;
-    const IoResult r = ReadPartStats(flipped, catalog_, &s);
-    if (!r.ok) {
-      EXPECT_FALSE(r.error.empty()) << "byte " << i;
+    const Status r = ReadPartStats(flipped, catalog_, &s);
+    if (!r.ok()) {
+      EXPECT_FALSE(r.message().empty()) << "byte " << i;
       continue;
     }
     for (const auto& [key, entry] : s.entries()) {
@@ -547,14 +548,6 @@ TEST_F(PartStatsSerializeTest, FlippedBytesNeverCrash) {
           << "byte " << i;
     }
   }
-}
-
-TEST_F(SerializeTest, IoStatusLiftsResultsIntoStatusVocabulary) {
-  EXPECT_TRUE(IoStatus(IoResult::Ok()).ok());
-  const Status failed = IoStatus(IoResult::Fail("bad magic"));
-  EXPECT_FALSE(failed.ok());
-  EXPECT_EQ(failed.code(), StatusCode::kDataLoss);
-  EXPECT_NE(failed.ToString().find("bad magic"), std::string::npos);
 }
 
 }  // namespace

@@ -231,6 +231,12 @@ bool AuditQuery(const Query& q, const SitPool& pool, Ranking ranking,
   return all_ok;
 }
 
+// Prints a failed Status as the CLI's one error line; returns exit code 1.
+int ReportError(const Status& status) {
+  std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
+  return 1;
+}
+
 // In-process overload drill: concurrent tenants against one
 // EstimationService while epochs refresh and injected faults pulse.
 // Returns false if any serving invariant is violated.
@@ -368,10 +374,8 @@ int main(int argc, char** argv) {
   // --- database ------------------------------------------------------
   Catalog catalog;
   if (!opt.catalog_path.empty()) {
-    const IoResult r = ReadCatalog(opt.catalog_path, &catalog);
-    if (!r.ok) {
-      std::fprintf(stderr, "error: %s\n", r.error.c_str());
-      return 1;
+    if (Status s = ReadCatalog(opt.catalog_path, &catalog); !s.ok()) {
+      return ReportError(s);
     }
   } else if (opt.db == "snowflake") {
     SnowflakeOptions sopt;
@@ -408,13 +412,13 @@ int main(int argc, char** argv) {
   // queries (their join expressions), mirroring a workload-driven build.
   std::vector<Query> queries;
   for (const std::string& sql : statements) {
-    const ParseResult r = ParseQuery(catalog, sql);
-    if (!r.ok) {
+    StatusOr<Query> q = ParseQuery(catalog, sql);
+    if (!q.ok()) {
       std::fprintf(stderr, "parse error in \"%s\": %s\n", sql.c_str(),
-                   r.error.c_str());
+                   q.status().message().c_str());
       return 1;
     }
-    queries.push_back(r.query);
+    queries.push_back(std::move(*q));
   }
   if (queries.empty()) {
     // --serve-selftest with no SQL: drill over a synthetic workload.
@@ -430,10 +434,8 @@ int main(int argc, char** argv) {
 
   SitPool pool;
   if (!opt.pool_path.empty()) {
-    const IoResult r = ReadSitPool(opt.pool_path, catalog, &pool);
-    if (!r.ok) {
-      std::fprintf(stderr, "error: %s\n", r.error.c_str());
-      return 1;
+    if (Status s = ReadSitPool(opt.pool_path, catalog, &pool); !s.ok()) {
+      return ReportError(s);
     }
   } else {
     pool = GenerateSitPool(queries, opt.sits, builder);
@@ -448,7 +450,9 @@ int main(int argc, char** argv) {
   bool audit_ok = true;
   for (size_t i = 0; i < queries.size(); ++i) {
     const Query& q = queries[i];
-    const double est = estimator.EstimateCardinality(q);
+    const StatusOr<double> card = estimator.TryEstimateCardinality(q);
+    if (!card.ok()) return ReportError(card.status());
+    const double est = *card;
     std::printf("%s\n  estimate: %.1f rows\n", statements[i].c_str(), est);
     if (opt.audit) {
       audit_ok &= AuditQuery(q, pool, opt.ranking, opt.budget);
@@ -461,7 +465,9 @@ int main(int argc, char** argv) {
                       : 0.0);
     }
     if (opt.explain) {
-      std::printf("  decomposition:\n%s", estimator.Explain(q).c_str());
+      const StatusOr<std::string> why = estimator.TryExplain(q);
+      if (!why.ok()) return ReportError(why.status());
+      std::printf("  decomposition:\n%s", why.value().c_str());
     }
     if (opt.stats) {
       const GsStats* s = estimator.StatsFor(q);
